@@ -36,8 +36,6 @@ from .randvar import (
     expect_polynomial,
     independent_sum_moments,
     mc_estimate,
-    mgf_series,
-    sheffer_poly,
 )
 from .identities import Report, Mismatch, UnknownIdentity, registered_ids, verify, verify_all
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .poly import Poly, VAR_NAMES, ZERO, X, canonical_var
-from .series import OrderExceeded
+from .series import OrderExceeded, Series
 from . import families
 from .families import FamilyId
 from . import identities
@@ -69,7 +69,12 @@ def _read_config_file(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise BadParams(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
+                key = key.strip()
+                if key not in DEFAULTS:
+                    raise BadParams(
+                        f"{path}:{lineno}: unknown key {key!r}; known keys are {', '.join(DEFAULTS)}"
+                    )
+                values[key] = value.strip()
     except OSError as exc:
         raise BadParams(f"cannot read config file {path}: {exc}") from exc
     return values
@@ -116,7 +121,7 @@ def resolve_common(args) -> dict:
 def _parse_poly(text: str, what: str) -> Poly:
     try:
         return Poly.parse(text)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise BadParams(f"cannot parse {what} value {text!r}: {exc}") from exc
 
 
@@ -142,7 +147,10 @@ def parse_provider(spec: str) -> MomentProvider:
         body, _, count = spec[4:].rpartition(":")
         if not body:
             raise BadParams(f"iid spec needs iid:<base>:<m>, got {spec!r}")
-        return IidSum(parse_provider(body), _parse_int(count))
+        copies = _parse_int(count)
+        if copies < 1:
+            raise BadParams(f"iid spec needs at least one copy, got {spec!r}")
+        return IidSum(parse_provider(body), copies)
     raise BadParams(f"unknown provider spec {spec!r}")
 
 
@@ -160,31 +168,19 @@ def _latex_fraction(value: Fraction) -> str:
 _LATEX_VARS = {"λ": "\\lambda"}
 
 
+def _latex_monomial(exps: tuple[int, ...]) -> str:
+    factors = []
+    for i, e in enumerate(exps):
+        if not e:
+            continue
+        name = _LATEX_VARS.get(VAR_NAMES[i], VAR_NAMES[i])
+        factors.append(name if e == 1 else f"{name}^{{{e}}}")
+    return " ".join(factors)
+
+
 def poly_latex(p: Poly) -> str:
     """Render in canonical term order with \\frac coefficients."""
-    if not p:
-        return "0"
-    pieces: list[str] = []
-    for exps, coeff in p.sorted_terms():
-        factors = []
-        for i, e in enumerate(exps):
-            if not e:
-                continue
-            name = _LATEX_VARS.get(VAR_NAMES[i], VAR_NAMES[i])
-            factors.append(name if e == 1 else f"{name}^{{{e}}}")
-        mono = " ".join(factors)
-        mag = abs(coeff)
-        if not mono:
-            body = _latex_fraction(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{_latex_fraction(mag)} {mono}"
-        if not pieces:
-            pieces.append(f"-{body}" if coeff < 0 else body)
-        else:
-            pieces.append(f"- {body}" if coeff < 0 else f"+ {body}")
-    return " ".join(pieces)
+    return p.render(_latex_fraction, _latex_monomial, " ")
 
 
 def _emit(text: str) -> None:
@@ -228,6 +224,39 @@ _SHEFFER_Y = "sheffer-y"
 _FAMILY_NAMES = [f.value for f in FamilyId] + [_SHEFFER_Y]
 
 
+def _order_param(raw: str | None, name: str, meta_params: dict[str, str]) -> Poly:
+    """An order parameter from its flag, symbolic when the flag is absent."""
+    value = _parse_poly(raw, name) if raw is not None else Poly.var(name)
+    meta_params[name] = str(value)
+    return value
+
+
+def _family_series(args, at: Poly, order: int, meta_params: dict[str, str]) -> Series:
+    """The generating series of a series-built family, truncated at ``order``."""
+    family = args.family
+    if family == FamilyId.DEG_BERNOULLI.value:
+        return families.bernoulli_series(at, order)
+    if family == FamilyId.DEG_EULER.value:
+        return families.euler_series(at, order)
+    if family == FamilyId.HIGHER_BERNOULLI.value:
+        a = _order_param(args.a, "a", meta_params)
+        return families.higher_bernoulli_series(a, at, order)
+    if family == FamilyId.HIGHER_EULER.value:
+        b = _order_param(args.b, "b", meta_params)
+        return families.higher_euler_series(b, at, order)
+    if family == FamilyId.SHEFFER_T.value:
+        a = _order_param(args.a, "a", meta_params)
+        b = _order_param(args.b, "b", meta_params)
+        return families.sheffer_type_series(a, b, at, order)
+    if family == _SHEFFER_Y:
+        if args.provider is None:
+            raise BadParams("family sheffer-y needs --provider")
+        provider = parse_provider(args.provider)
+        meta_params["provider"] = args.provider
+        return ShefferSequence(provider, order).series(at)
+    raise BadParams(f"unknown family {family!r}; pick one of {', '.join(_FAMILY_NAMES)}")
+
+
 def _family_rows(args, config) -> tuple[list[dict], dict]:
     family = args.family
     n_max = config["n"] if config["n"] is not None else _DEFAULT_TABLE_N
@@ -269,35 +298,8 @@ def _family_rows(args, config) -> tuple[list[dict], dict]:
 
     if family == FamilyId.FALLING_LAMBDA.value:
         values = [families.falling_factorial(at, n) for n in range(n_max + 1)]
-    elif family == FamilyId.DEG_BERNOULLI.value:
-        values = families.bernoulli_polynomials(n_max, at, order=effective_order)
-    elif family == FamilyId.DEG_EULER.value:
-        values = families.euler_polynomials(n_max, at, order=effective_order)
-    elif family == FamilyId.HIGHER_BERNOULLI.value:
-        a = _parse_poly(args.a, "a") if args.a is not None else Poly.var("a")
-        meta_params["a"] = str(a)
-        series = families.higher_bernoulli_series(a, at, effective_order)
-        values = [series.egf_coefficient(n) for n in range(n_max + 1)]
-    elif family == FamilyId.HIGHER_EULER.value:
-        b = _parse_poly(args.b, "b") if args.b is not None else Poly.var("b")
-        meta_params["b"] = str(b)
-        series = families.higher_euler_series(b, at, effective_order)
-        values = [series.egf_coefficient(n) for n in range(n_max + 1)]
-    elif family == FamilyId.SHEFFER_T.value:
-        a = _parse_poly(args.a, "a") if args.a is not None else Poly.var("a")
-        b = _parse_poly(args.b, "b") if args.b is not None else Poly.var("b")
-        meta_params["a"] = str(a)
-        meta_params["b"] = str(b)
-        series = families.sheffer_type_series(a, b, at, effective_order)
-        values = [series.egf_coefficient(n) for n in range(n_max + 1)]
-    elif family == _SHEFFER_Y:
-        if args.provider is None:
-            raise BadParams("family sheffer-y needs --provider")
-        provider = parse_provider(args.provider)
-        meta_params["provider"] = args.provider
-        values = ShefferSequence(provider, effective_order).polynomials(n_max, at)
     else:
-        raise BadParams(f"unknown family {family!r}; pick one of {', '.join(_FAMILY_NAMES)}")
+        values = _family_series(args, at, effective_order, meta_params).egf_coefficients(n_max)
 
     for n, value in enumerate(values):
         value = finish(value)
@@ -320,6 +322,8 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     config = resolve_common(args)
     max_n = config["n"] if config["n"] is not None else _DEFAULT_VERIFY_N
+    if max_n < 0:
+        raise BadParams("--n must be non-negative")
     order = config["order"]
     if order is not None and order < max_n + 1:
         raise BadParams(f"truncation order {order} is too small; shift identities need order >= n+1")
@@ -388,6 +392,8 @@ def cmd_mc(args) -> int:
     seed = config["seed"]
     if samples < 1:
         raise BadParams("--samples must be positive")
+    if seed < 0:
+        raise BadParams("--seed must be non-negative")
     order = config["order"]
     if order is not None and order < n:
         raise BadParams(f"truncation order {order} is too small for n={n}")

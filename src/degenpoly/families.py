@@ -74,20 +74,6 @@ def euler_base(order: int) -> Series:
     return ((e1 + Series.one(order)) * Fraction(1, 2)).reciprocal()
 
 
-def _power(base: Series, exponent: PolyLike) -> Series:
-    """Raise a unit-constant series to a (possibly symbolic) power.
-
-    Constant non-negative integer exponents take the repeated-multiplication
-    route; everything else goes through exp(exponent*log(base)).
-    """
-    exponent = as_poly(exponent)
-    if exponent.is_constant():
-        value = exponent.constant_value()
-        if value.denominator == 1 and value >= 0:
-            return base.pow_int(int(value))
-    return base.pow(exponent)
-
-
 def bernoulli_series(at: PolyLike, order: int) -> Series:
     return bernoulli_base(order) * degenerate_exp(at, order)
 
@@ -97,33 +83,29 @@ def euler_series(at: PolyLike, order: int) -> Series:
 
 
 def higher_bernoulli_series(order_param: PolyLike, at: PolyLike, order: int) -> Series:
-    return _power(bernoulli_base(order), order_param) * degenerate_exp(at, order)
+    return bernoulli_base(order).pow(order_param) * degenerate_exp(at, order)
 
 
 def higher_euler_series(order_param: PolyLike, at: PolyLike, order: int) -> Series:
-    return _power(euler_base(order), order_param) * degenerate_exp(at, order)
+    return euler_base(order).pow(order_param) * degenerate_exp(at, order)
 
 
 def sheffer_type_series(a_param: PolyLike, b_param: PolyLike, at: PolyLike, order: int) -> Series:
     """Product of a Bernoulli-type power, an Euler-type power and an exponential."""
     return (
-        _power(bernoulli_base(order), a_param)
-        * _power(euler_base(order), b_param)
+        bernoulli_base(order).pow(a_param)
+        * euler_base(order).pow(b_param)
         * degenerate_exp(at, order)
     )
 
 
-def _family_values(series: Series, n_max: int) -> list[Poly]:
-    return [series.egf_coefficient(n) for n in range(n_max + 1)]
-
-
 def bernoulli_polynomials(n_max: int, at: PolyLike = ZERO, order: int | None = None) -> list[Poly]:
     """Degenerate Bernoulli values for n = 0..n_max, from the generating series."""
-    return _family_values(bernoulli_series(at, n_max if order is None else order), n_max)
+    return bernoulli_series(at, n_max if order is None else order).egf_coefficients(n_max)
 
 
 def euler_polynomials(n_max: int, at: PolyLike = ZERO, order: int | None = None) -> list[Poly]:
-    return _family_values(euler_series(at, n_max if order is None else order), n_max)
+    return euler_series(at, n_max if order is None else order).egf_coefficients(n_max)
 
 
 def bernoulli_deg(n: int, at: PolyLike = ZERO) -> Poly:

@@ -83,29 +83,12 @@ class Workspace:
             self._cache[key] = value
         return value
 
-    def _values(self, series: Series) -> list[Poly]:
-        return [series.egf_coefficient(n) for n in range(self.order + 1)]
-
     def exp_of(self, base: Poly) -> Series:
         return self._get(("exp", base), lambda: families.degenerate_exp(base, self.order))
 
-    def _bern_power(self, e: Poly) -> Series:
-        def make():
-            if e.is_constant() and e.constant_value().denominator == 1 and e.constant_value() >= 0:
-                return families.bernoulli_base(self.order).pow_int(int(e.constant_value()))
-            log = self._get(("log-bern",), lambda: families.bernoulli_base(self.order).log())
-            return (log * e).exp()
-
-        return self._get(("bern-pow", e), make)
-
-    def _euler_power(self, e: Poly) -> Series:
-        def make():
-            if e.is_constant() and e.constant_value().denominator == 1 and e.constant_value() >= 0:
-                return families.euler_base(self.order).pow_int(int(e.constant_value()))
-            log = self._get(("log-euler",), lambda: families.euler_base(self.order).log())
-            return (log * e).exp()
-
-        return self._get(("euler-pow", e), make)
+    def power(self, base: Series, e: Poly) -> Series:
+        """A base series raised to a (possibly symbolic) order, formed once."""
+        return self._get(("pow", base, e), lambda: base.pow(e))
 
     def falling(self, base: Poly) -> list[Poly]:
         return self._get(
@@ -116,13 +99,17 @@ class Workspace:
     def higher_bernoulli(self, e, at: Poly) -> list[Poly]:
         e = as_poly(e)
         return self._get(
-            ("hb", e, at), lambda: self._values(self._bern_power(e) * self.exp_of(at))
+            ("hb", e, at),
+            lambda: (self.power(families.bernoulli_base(self.order), e) * self.exp_of(at))
+            .egf_coefficients(self.order),
         )
 
     def higher_euler(self, e, at: Poly) -> list[Poly]:
         e = as_poly(e)
         return self._get(
-            ("he", e, at), lambda: self._values(self._euler_power(e) * self.exp_of(at))
+            ("he", e, at),
+            lambda: (self.power(families.euler_base(self.order), e) * self.exp_of(at))
+            .egf_coefficients(self.order),
         )
 
     def bernoulli(self, at: Poly) -> list[Poly]:
@@ -135,7 +122,11 @@ class Workspace:
         e1, e2 = as_poly(e1), as_poly(e2)
         return self._get(
             ("hybrid", e1, e2, at),
-            lambda: self._values(self._bern_power(e1) * self._euler_power(e2) * self.exp_of(at)),
+            lambda: (
+                self.power(families.bernoulli_base(self.order), e1)
+                * self.power(families.euler_base(self.order), e2)
+                * self.exp_of(at)
+            ).egf_coefficients(self.order),
         )
 
     def sheffer(self, provider: MomentProvider, at: Poly) -> list[Poly]:
@@ -266,6 +257,28 @@ def _convolution(left: list[Poly], right: list[Poly]) -> SideFn:
     return side
 
 
+def _stirling_weights(m: int, order: int) -> list[Poly]:
+    """λ^j * S1(j+m, m) / C(j+m, m) for j = 0..order, the weights of thm3.5 and thm3.6."""
+    return [
+        LAM ** j
+        * families.stirling_first(j + m, m)
+        * Fraction(factorial(j) * factorial(m), factorial(j + m))
+        for j in range(order + 1)
+    ]
+
+
+def _times_t(values: list[Poly]) -> list[Poly]:
+    """Exponential coefficients of t*F from those of F: n * values[n-1], and 0 at n = 0."""
+    return [ZERO] + [values[n - 1] * n for n in range(1, len(values))]
+
+
+def _half_raised_bernoulli(ws: Workspace) -> list[Poly]:
+    """hb_a(x)[k] + k/2 * hb_{a-1}(x)[k-1], the Bernoulli side of thm3.10 and thm3.11-B."""
+    hb = ws.higher_bernoulli(A, X)
+    raised = _times_t(ws.higher_bernoulli(A - ONE, X))
+    return [value + step / 2 for value, step in zip(hb, raised)]
+
+
 @_case("prop2.1-B", "order and argument both add across products of Bernoulli-power series")
 def _prop21_b(ws: Workspace) -> list[Instance]:
     total = ws.higher_bernoulli(A + B, X + Y)
@@ -298,15 +311,12 @@ def _cor22_e(ws: Workspace) -> list[Instance]:
 def _thm23_b(ws: Workspace) -> list[Instance]:
     shifted = ws.higher_bernoulli(A, X + ONE)
     plain = ws.higher_bernoulli(A, X)
-    lowered = ws.higher_bernoulli(A - ONE, X)
+    raised = _times_t(ws.higher_bernoulli(A - ONE, X))
 
     def lhs(n: int) -> Poly:
         return shifted[n] - plain[n]
 
-    def rhs(n: int) -> Poly:
-        return lowered[n - 1] * n if n >= 1 else ZERO
-
-    return [(None, lhs, rhs)]
+    return [(None, lhs, raised.__getitem__)]
 
 
 @_case("thm2.3-E", "shift mean in x lowers the Euler order by one")
@@ -327,13 +337,12 @@ def _thm23_e(ws: Workspace) -> list[Instance]:
 @_case("thm2.4", "Bernoulli polynomials as an Euler convolution plus a half-index term")
 def _thm24(ws: Workspace) -> list[Instance]:
     bern = ws.bernoulli(X)
-    bern0 = ws.bernoulli(ZERO)
     euler = ws.euler(X)
-    conv = _convolution(bern0, euler)
+    raised = _times_t(euler)
+    conv = _convolution(ws.bernoulli(ZERO), euler)
 
     def rhs(n: int) -> Poly:
-        half = euler[n - 1] * Fraction(n, 2) if n >= 1 else ZERO
-        return half + conv(n)
+        return raised[n] / 2 + conv(n)
 
     return [(None, bern.__getitem__, rhs)]
 
@@ -377,15 +386,12 @@ def _thm27(ws: Workspace) -> list[Instance]:
 def _thm28(ws: Workspace) -> list[Instance]:
     shifted = ws.hybrid(A, B, X + ONE)
     plain = ws.hybrid(A, B, X)
-    lowered = ws.hybrid(A - ONE, B, X)
+    raised = _times_t(ws.hybrid(A - ONE, B, X))
 
     def lhs(n: int) -> Poly:
         return shifted[n] - plain[n]
 
-    def rhs(n: int) -> Poly:
-        return lowered[n - 1] * n if n >= 1 else ZERO
-
-    return [(None, lhs, rhs)]
+    return [(None, lhs, raised.__getitem__)]
 
 
 @_case("thm3.1", "averaging the induced family over its own variable recovers the falling factorials")
@@ -417,16 +423,8 @@ def _thm32(ws: Workspace) -> list[Instance]:
 @_case("thm3.3", "closed form of the uniform-variable family through Bernoulli polynomials")
 def _thm33(ws: Workspace) -> list[Instance]:
     mine = ws.sheffer(_UNIFORM, X)
-    bern = ws.bernoulli(X)
-
-    def rhs(n: int) -> Poly:
-        acc = ZERO
-        for k in range(n + 1):
-            j = n - k
-            weight = (-LAM) ** j * Fraction(factorial(j), j + 1) * comb(n, k)
-            acc = acc + bern[k] * weight
-        return acc
-
+    weights = [(-LAM) ** j * Fraction(factorial(j), j + 1) for j in range(ws.order + 1)]
+    rhs = _convolution(ws.bernoulli(X), weights)
     return [(None, mine.__getitem__, rhs)]
 
 
@@ -442,20 +440,7 @@ def _thm35(ws: Workspace) -> list[Instance]:
     instances: list[Instance] = []
     for m in (1, 2, 3):
         mine = ws.sheffer(IidSum(_UNIFORM, m), X)
-        hb = ws.higher_bernoulli(m, X)
-
-        def rhs(n: int, m=m, hb=hb) -> Poly:
-            acc = ZERO
-            for k in range(n + 1):
-                j = n - k
-                weight = (
-                    LAM ** j
-                    * families.stirling_first(j + m, m)
-                    * Fraction(comb(n, k), comb(j + m, m))
-                )
-                acc = acc + hb[k] * weight
-            return acc
-
+        rhs = _convolution(ws.higher_bernoulli(m, X), _stirling_weights(m, ws.order))
         instances.append((f"m={m}", mine.__getitem__, rhs))
     return instances
 
@@ -466,32 +451,8 @@ def _thm36(ws: Workspace) -> list[Instance]:
     for m, l in ((2, 1), (3, 1), (3, 2)):
         shifted = ws.higher_bernoulli(m, X + Y)
         averaged = [expect_polynomial(v, IidSum(_UNIFORM, l)) for v in shifted]
-        remaining = ws.higher_bernoulli(m - l, X)
-
-        def lhs(n: int, m=m, averaged=averaged) -> Poly:
-            acc = ZERO
-            for k in range(n + 1):
-                j = n - k
-                weight = (
-                    LAM ** j
-                    * families.stirling_first(j + m, m)
-                    * Fraction(comb(n, k), comb(j + m, m))
-                )
-                acc = acc + averaged[k] * weight
-            return acc
-
-        def rhs(n: int, m=m, l=l, remaining=remaining) -> Poly:
-            acc = ZERO
-            for k in range(n + 1):
-                j = n - k
-                weight = (
-                    LAM ** j
-                    * families.stirling_first(j + m - l, m - l)
-                    * Fraction(comb(n, k), comb(j + m - l, m - l))
-                )
-                acc = acc + remaining[k] * weight
-            return acc
-
+        lhs = _convolution(averaged, _stirling_weights(m, ws.order))
+        rhs = _convolution(ws.higher_bernoulli(m - l, X), _stirling_weights(m - l, ws.order))
         instances.append((f"m={m},l={l}", lhs, rhs))
     return instances
 
@@ -527,73 +488,35 @@ def _thm38(ws: Workspace) -> list[Instance]:
 def _thm39(ws: Workspace) -> list[Instance]:
     plain = ws.hybrid(A, B, X)
     lowered_b = ws.hybrid(A, B - ONE, X)
-    lowered_a = ws.hybrid(A - ONE, B, X)
+    raised_a = _times_t(ws.hybrid(A - ONE, B, X))
 
     def rhs(n: int) -> Poly:
-        correction = lowered_a[n - 1] * Fraction(n, 2) if n >= 1 else ZERO
-        return lowered_b[n] - correction
+        return lowered_b[n] - raised_a[n] / 2
 
     return [(None, plain.__getitem__, rhs)]
 
 
 @_case("thm3.10", "swapping an Euler order for a correction on the Bernoulli side")
 def _thm310(ws: Workspace) -> list[Instance]:
-    hb = ws.higher_bernoulli(A, X)
-    hb_low = ws.higher_bernoulli(A - ONE, X)
-    he = ws.higher_euler(B, Y)
-    he_low = ws.higher_euler(B - ONE, Y)
-
-    def lhs(n: int) -> Poly:
-        acc = ZERO
-        for k in range(n + 1):
-            acc = acc + hb[k] * he_low[n - k] * comb(n, k)
-        return acc
-
-    def rhs(n: int) -> Poly:
-        acc = ZERO
-        for k in range(n + 1):
-            bracket = hb[k]
-            if k >= 1:
-                bracket = bracket + hb_low[k - 1] * Fraction(k, 2)
-            acc = acc + bracket * he[n - k] * comb(n, k)
-        return acc
-
+    lhs = _convolution(ws.higher_bernoulli(A, X), ws.higher_euler(B - ONE, Y))
+    rhs = _convolution(_half_raised_bernoulli(ws), ws.higher_euler(B, Y))
     return [(None, lhs, rhs)]
 
 
 @_case("thm3.11-B", "Bernoulli-power addition formula through Euler polynomials")
 def _thm311_b(ws: Workspace) -> list[Instance]:
     total = ws.higher_bernoulli(A, X + Y)
-    hb = ws.higher_bernoulli(A, X)
-    hb_low = ws.higher_bernoulli(A - ONE, X)
-    euler = ws.euler(Y)
-
-    def rhs(n: int) -> Poly:
-        acc = ZERO
-        for k in range(n + 1):
-            bracket = hb[k]
-            if k >= 1:
-                bracket = bracket + hb_low[k - 1] * Fraction(k, 2)
-            acc = acc + bracket * euler[n - k] * comb(n, k)
-        return acc
-
+    rhs = _convolution(_half_raised_bernoulli(ws), ws.euler(Y))
     return [(None, total.__getitem__, rhs)]
 
 
 @_case("thm3.11-E", "Euler-power addition formula through Bernoulli polynomials")
 def _thm311_e(ws: Workspace) -> list[Instance]:
     total = ws.higher_euler(B, X + Y)
-    bern = ws.bernoulli(X)
     he = ws.higher_euler(B, Y)
     he_low = ws.higher_euler(B - ONE, Y)
-
-    def rhs(n: int) -> Poly:
-        acc = ZERO
-        for k in range(n + 1):
-            step = (he_low[k + 1] - he[k + 1]) * Fraction(2, k + 1)
-            acc = acc + bern[n - k] * step * comb(n, k)
-        return acc
-
+    steps = [(he_low[k + 1] - he[k + 1]) * Fraction(2, k + 1) for k in range(ws.order)]
+    rhs = _convolution(steps, ws.bernoulli(X))
     return [(None, total.__getitem__, rhs)]
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 VAR_NAMES: tuple[str, ...] = ("λ", "x", "y", "a", "b", "p")
 NVARS = len(VAR_NAMES)
@@ -185,8 +185,9 @@ class Poly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -272,24 +273,38 @@ class Poly:
                 parts.append(f"{VAR_NAMES[i]}^{e}")
         return "*".join(parts)
 
-    def __str__(self) -> str:
+    def render(
+        self,
+        coefficient: Callable[[Fraction], str],
+        monomial: Callable[[tuple[int, ...]], str],
+        times: str,
+    ) -> str:
+        """Walk the terms in canonical order with the shared sign and unit rules.
+
+        ``coefficient`` spells a positive magnitude, ``monomial`` an exponent
+        tuple (empty for the constant term), and ``times`` joins the two; a
+        magnitude of 1 in front of a monomial is omitted.
+        """
         if not self._terms:
             return "0"
         pieces: list[str] = []
         for exps, coeff in self.sorted_terms():
-            mono = self._monomial_str(exps)
+            mono = monomial(exps)
             mag = abs(coeff)
             if not mono:
-                body = str(mag)
+                body = coefficient(mag)
             elif mag == 1:
                 body = mono
             else:
-                body = f"{mag}*{mono}"
+                body = f"{coefficient(mag)}{times}{mono}"
             if not pieces:
                 pieces.append(f"-{body}" if coeff < 0 else body)
             else:
                 pieces.append(f"- {body}" if coeff < 0 else f"+ {body}")
         return " ".join(pieces)
+
+    def __str__(self) -> str:
+        return self.render(str, self._monomial_str, "*")
 
     def __repr__(self) -> str:
         return f"Poly({self})"

@@ -57,10 +57,6 @@ def _mgf_cached(provider: MomentProvider, order: int) -> Series:
     return Series.from_egf(provider.moment, order)
 
 
-def mgf_series(provider: MomentProvider, order: int) -> Series:
-    return provider.mgf(order)
-
-
 @dataclass(frozen=True)
 class Uniform01(MomentProvider):
     """Uniform on [0, 1]: moments by exact termwise integration."""
@@ -209,12 +205,7 @@ class ShefferSequence:
         return self.series(at).egf_coefficient(n)
 
     def polynomials(self, n_max: int, at: PolyLike) -> list[Poly]:
-        s = self.series(at)
-        return [s.egf_coefficient(n) for n in range(n_max + 1)]
-
-
-def sheffer_poly(provider: MomentProvider, n: int, at: PolyLike, order: int | None = None) -> Poly:
-    return ShefferSequence(provider, n if order is None else order).polynomial(n, at)
+        return self.series(at).egf_coefficients(n_max)
 
 
 # -- the expectation functional ---------------------------------------------------

@@ -74,6 +74,10 @@ class Series:
         """n! times the ordinary coefficient of t^n."""
         return self.coefficient(n) * factorial(n)
 
+    def egf_coefficients(self, n_max: int) -> list[Poly]:
+        """The exponential coefficients for n = 0..n_max: a family's values."""
+        return [self.egf_coefficient(n) for n in range(n_max + 1)]
+
     def truncate(self, order: int) -> "Series":
         if order > self.order:
             raise OrderExceeded(f"cannot extend a series of order {self.order} to {order}")
@@ -200,8 +204,9 @@ class Series:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     # -- reindexing ------------------------------------------------------------

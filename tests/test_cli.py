@@ -265,6 +265,25 @@ def test_config_file_errors(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--n", "-3"),
+        ("table", "deg-bernoulli", "--x", "1/0"),
+        ("table", "deg-bernoulli", "--lambda", "1/0"),
+        ("table", "sheffer-y", "--provider", "iid:uniform01:0"),
+        ("mc", "thm3.1", "--lambda", "1/8", "--x", "1/4", "--seed", "-1"),
+        ("table", "deg-bernoulli", "--config", "{config}"),
+    ],
+)
+def test_usage_errors_exit_2(argv, tmp_path, capsys):
+    config = tmp_path / "typo.conf"
+    config.write_text("ordr=5\n", encoding="utf-8")
+    code, _, err = run(capsys, *(arg.format(config=config) for arg in argv))
+    assert code == 2
+    assert any(line.startswith("error: ") for line in err.splitlines())
+
+
 def test_poly_latex_rendering():
     p = LAM ** 2 * Fraction(-3, 4) + X * 2 - 1
     assert poly_latex(p) == "-\\frac{3}{4} \\lambda^{2} + 2 x - 1"

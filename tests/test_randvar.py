@@ -26,8 +26,6 @@ from degenpoly import (
     higher_euler,
     independent_sum_moments,
     mc_estimate,
-    mgf_series,
-    sheffer_poly,
 )
 from degenpoly.families import bernoulli_base, degenerate_exp
 
@@ -66,7 +64,7 @@ def test_zero_provider():
     z = Zero()
     assert z.mgf(6) == Series.one(6)
     for n in range(6):
-        assert sheffer_poly(z, n, X) == falling_factorial(X, n)
+        assert ShefferSequence(z, n).polynomial(n, X) == falling_factorial(X, n)
 
 
 def test_iid_sum_mgf_two_paths():
@@ -101,7 +99,7 @@ def test_custom_moments_validation():
 
 def test_mgf_constant_term_is_one():
     for provider in (Uniform01(), Bernoulli(P), IidSum(Bernoulli(half), 3), Zero()):
-        assert mgf_series(provider, 5).coefficient(0) == ONE
+        assert provider.mgf(5).coefficient(0) == ONE
 
 
 def test_sheffer_for_fair_coin_is_euler():
@@ -112,8 +110,8 @@ def test_sheffer_for_fair_coin_is_euler():
 
 
 def test_sheffer_uniform_first_values():
-    assert sheffer_poly(Uniform01(), 0, X) == ONE
-    assert sheffer_poly(Uniform01(), 1, X) == X - half
+    assert ShefferSequence(Uniform01(), 0).polynomial(0, X) == ONE
+    assert ShefferSequence(Uniform01(), 1).polynomial(1, X) == X - half
 
 
 def test_sheffer_inverse_relation():
