@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import Poly, VAR_NAMES, ZERO, X, canonical_var
+from .poly import Poly, VAR_NAMES, ZERO, X
 from .series import OrderExceeded, Series
 from . import families
 from .families import FamilyId
@@ -75,7 +75,7 @@ def _read_config_file(path: str) -> dict[str, str]:
                         f"{path}:{lineno}: unknown key {key!r}; known keys are {', '.join(DEFAULTS)}"
                     )
                 values[key] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise BadParams(f"cannot read config file {path}: {exc}") from exc
     return values
 
@@ -105,13 +105,13 @@ def _parse_format(text: str) -> str:
 
 
 def resolve_common(args) -> dict:
+    """Resolve the keys the command's parser defines: only ``mc`` has samples and seed."""
     file_values = _read_config_file(args.config) if args.config else {}
     return {
-        "order": _resolve("order", args.order, file_values, _parse_int),
-        "n": _resolve("n", getattr(args, "n", None), file_values, _parse_int),
-        "format": _resolve("format", args.format, file_values, _parse_format),
-        "samples": _resolve("samples", getattr(args, "samples", None), file_values, _parse_int),
-        "seed": _resolve("seed", getattr(args, "seed", None), file_values, _parse_int),
+        key: _resolve(key, getattr(args, key), file_values,
+                      _parse_format if key == "format" else _parse_int)
+        for key in DEFAULTS
+        if hasattr(args, key)
     }
 
 
@@ -275,14 +275,16 @@ def _family_rows(args, config) -> tuple[list[dict], dict]:
 
     pins: dict[str, Poly] = {}
     meta_params: dict[str, str] = {}
+    at = X if family == FamilyId.FALLING_LAMBDA.value else ZERO
+    # --x is the evaluation argument, never a pin, but its meta entry sits between λ and p
     for flag, var in (("lam", "λ"), ("x", "x"), ("p", "p")):
         raw = getattr(args, flag)
         if raw is not None:
-            pins[var] = _parse_poly(raw, var)
-            meta_params[canonical_var(var)] = raw
-
-    default_at = X if family == FamilyId.FALLING_LAMBDA.value else ZERO
-    at = _parse_poly(args.x, "x") if args.x is not None else default_at
+            meta_params[var] = raw
+            if var == "x":
+                at = _parse_poly(raw, var)
+            else:
+                pins[var] = _parse_poly(raw, var)
 
     def finish(value: Poly) -> Poly:
         return value.substitute(pins) if pins else value

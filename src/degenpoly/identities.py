@@ -249,10 +249,7 @@ _BER_P = Bernoulli(P)
 
 def _convolution(left: list[Poly], right: list[Poly]) -> SideFn:
     def side(n: int) -> Poly:
-        acc = ZERO
-        for k in range(n + 1):
-            acc = acc + left[k] * right[n - k] * comb(n, k)
-        return acc
+        return Poly.sum(left[k] * right[n - k] * comb(n, k) for k in range(n + 1))
 
     return side
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Callable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 VAR_NAMES: tuple[str, ...] = ("λ", "x", "y", "a", "b", "p")
 NVARS = len(VAR_NAMES)
@@ -130,14 +130,20 @@ class Poly:
             return Poly.const(value)
         return None
 
+    @classmethod
+    def sum(cls, polys: Iterable["Poly"]) -> "Poly":
+        """Add polynomials into one term map and canonicalise once; all term addition is here."""
+        out: dict[tuple[int, ...], Fraction] = {}
+        for p in polys:
+            for exps, coeff in p._terms.items():
+                out[exps] = out.get(exps, 0) + coeff
+        return cls(out)
+
     def __add__(self, other) -> "Poly":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return Poly(out)
+        return Poly.sum((self, other))
 
     __radd__ = __add__
 
@@ -228,14 +234,14 @@ class Poly:
                 power_cache[key] = got
             return got
 
-        total = Poly()
+        terms = []
         for exps, coeff in self._terms.items():
             term = Poly.const(coeff)
             for i, e in enumerate(exps):
                 if e:
                     term = term * factor(i, e)
-            total = total + term
-        return total
+            terms.append(term)
+        return Poly.sum(terms)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a fully specified point.
@@ -367,7 +373,7 @@ class Poly:
                 else:
                     return term
 
-        total = cls()
+        terms: list[Poly] = []
         sign = 1
         kind, value = peek()
         if kind == "op" and value in "+-":
@@ -376,10 +382,10 @@ class Poly:
         elif kind is None:
             raise ValueError("empty polynomial text")
         while True:
-            total = total + parse_term() * sign
+            terms.append(parse_term() * sign)
             kind, value = peek()
             if kind is None:
-                return total
+                return cls.sum(terms)
             if kind == "op" and value in "+-":
                 take()
                 sign = -1 if value == "-" else 1

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -75,12 +74,8 @@ class Uniform01(MomentProvider):
 def _uniform01_moment(n: int) -> Poly:
     # integrate each power of y over [0, 1]: y^k contributes 1/(k+1)
     expanded = falling_factorial(Poly.var("y"), n)
-    total = ZERO
-    for k in range(expanded.degree("y") + 1):
-        c = expanded.coefficient_of("y", k)
-        if c:
-            total = total + c / (k + 1)
-    return total
+    slices = (expanded.coefficient_of("y", k) for k in range(expanded.degree("y") + 1))
+    return Poly.sum(c / (k + 1) for k, c in enumerate(slices) if c)
 
 
 @dataclass(frozen=True)
@@ -130,7 +125,7 @@ class IidSum(MomentProvider):
     def sample_array(self, rng: np.random.Generator, size: int) -> np.ndarray:
         total = self.base.sample_array(rng, size)
         for _ in range(self.m - 1):
-            total = total + self.base.sample_array(rng, size)
+            total += self.base.sample_array(rng, size)
         return total
 
     def label(self) -> str:
@@ -174,14 +169,8 @@ class CustomMoments(MomentProvider):
 
 
 def independent_sum_moments(first: MomentProvider, second: MomentProvider, n_max: int) -> CustomMoments:
-    """Moment table of the sum of two independent variables (binomial convolution)."""
-    table = []
-    for n in range(n_max + 1):
-        acc = ZERO
-        for k in range(n + 1):
-            acc = acc + first.moment(k) * second.moment(n - k) * comb(n, k)
-        table.append(acc)
-    return CustomMoments(table)
+    """Moment table of the sum of two independent variables: their moment series multiply."""
+    return CustomMoments((first.mgf(n_max) * second.mgf(n_max)).egf_coefficients(n_max))
 
 
 # -- the induced polynomial family ------------------------------------------------
@@ -213,12 +202,8 @@ class ShefferSequence:
 
 def expect_falling_basis(coeffs: Sequence[PolyLike], provider: MomentProvider) -> Poly:
     """Apply E to sum_k coeffs[k] * (Y)_{k,λ}: linearity gives sum coeffs[k]*moment(k)."""
-    total = ZERO
-    for k, c in enumerate(coeffs):
-        c = as_poly(c)
-        if c:
-            total = total + c * provider.moment(k)
-    return total
+    coeffs = (as_poly(c) for c in coeffs)
+    return Poly.sum(c * provider.moment(k) for k, c in enumerate(coeffs) if c)
 
 
 def expect_polynomial(p: Poly, provider: MomentProvider, var: str = "y") -> Poly:

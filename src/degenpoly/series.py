@@ -102,17 +102,11 @@ class Series:
 
     def __mul__(self, other) -> "Series":
         if isinstance(other, Series):
-            n = min(self.order, other.order)
-            out = []
-            for k in range(n + 1):
-                acc = ZERO
-                for i in range(k + 1):
-                    ci = self._coeffs[i]
-                    cj = other._coeffs[k - i]
-                    if ci and cj:
-                        acc = acc + ci * cj
-                out.append(acc)
-            return Series(out)
+            f, g = self._coeffs, other._coeffs
+            return Series(
+                Poly.sum(f[i] * g[k - i] for i in range(k + 1) if f[i] and g[k - i])
+                for k in range(min(self.order, other.order) + 1)
+            )
         if isinstance(other, (int, Fraction, Poly)):
             scalar = as_poly(other)
             return Series(c * scalar for c in self._coeffs)
@@ -144,14 +138,10 @@ class Series:
         if not c0.is_constant() or not c0:
             raise NonUnitConstantTerm(f"constant term {c0} is not an invertible rational")
         inv0 = Fraction(1) / c0.constant_value()
+        f = self._coeffs
         out = [Poly.const(inv0)]
         for n in range(1, self.order + 1):
-            acc = ZERO
-            for k in range(1, n + 1):
-                fk = self._coeffs[k]
-                if fk:
-                    acc = acc + fk * out[n - k]
-            out.append(acc * (-inv0))
+            out.append(Poly.sum(f[k] * out[n - k] for k in range(1, n + 1) if f[k]) * (-inv0))
         return Series(out)
 
     def log(self) -> "Series":
@@ -162,27 +152,21 @@ class Series:
         """
         if self._coeffs[0] != ONE:
             raise NonUnitConstantTerm(f"log needs constant term 1, got {self._coeffs[0]}")
+        f = self._coeffs
         out = [ZERO]
         for n in range(1, self.order + 1):
-            acc = ZERO
-            for k in range(1, n):
-                fk = self._coeffs[n - k]
-                if out[k] and fk:
-                    acc = acc + out[k] * fk * k
-            out.append(self._coeffs[n] - acc / n)
+            acc = Poly.sum(out[k] * f[n - k] * k for k in range(1, n) if out[k] and f[n - k])
+            out.append(f[n] - acc / n)
         return Series(out)
 
     def exp(self) -> "Series":
         """Exponential of a series with zero constant term."""
         if self._coeffs[0]:
             raise NonzeroConstantTerm(f"exp needs constant term 0, got {self._coeffs[0]}")
+        u = self._coeffs
         out = [ONE]
         for n in range(1, self.order + 1):
-            acc = ZERO
-            for k in range(1, n + 1):
-                uk = self._coeffs[k]
-                if uk and out[n - k]:
-                    acc = acc + uk * out[n - k] * k
+            acc = Poly.sum(u[k] * out[n - k] * k for k in range(1, n + 1) if u[k] and out[n - k])
             out.append(acc / n)
         return Series(out)
 

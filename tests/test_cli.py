@@ -47,11 +47,12 @@ def test_table_stirling_single_row(capsys):
 
 
 def test_table_symbolic_argument(capsys):
-    code, out, _ = run(capsys, "table", "deg-bernoulli", "--n", "3", "--x", "x")
-    assert code == 0
-    values = [line.split(maxsplit=1)[1] for line in out.strip().splitlines()[1:]]
-    expected = bernoulli_polynomials(3, X)
-    assert [Poly.parse(v) for v in values] == expected
+    for text, at in (("x", X), ("x+1", X + 1), ("2*x", 2 * X)):
+        code, out, _ = run(capsys, "table", "deg-bernoulli", "--n", "3", "--x", text)
+        assert code == 0
+        values = [line.split(maxsplit=1)[1] for line in out.strip().splitlines()[1:]]
+        expected = bernoulli_polynomials(3, at)
+        assert [Poly.parse(v) for v in values] == expected
 
 
 def test_table_json_round_trips_exactly(capsys):
@@ -142,6 +143,26 @@ def test_verify_fault_injection(capsys):
     case = doc["cases"][0]
     assert case["equal"] is False
     assert case["mismatch"] == {"n": 2, "diff": "-1"}
+
+
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        ("plain", "thm3.4: ok (n <= 3)\nfault-injection: MISMATCH at n=2 diff = -1\n"
+                  "1/2 identities verified\n"),
+        ("csv", '"id","maxN","equal","mismatch_n","diff"\n"thm3.4",3,"true","",""\n'
+                '"fault-injection",3,"false",2,"-1"\n'),
+        ("latex", "\\begin{tabular}{ll}\n\\hline\nid & status \\\\\n\\hline\n"
+                  "\\verb|thm3.4| & ok \\\\\n\\verb|fault-injection| & mismatch at $n=2$ \\\\\n"
+                  "\\hline\n\\end{tabular}\n"),
+    ],
+)
+def test_verify_mismatch_output(capsys, fmt, expected):
+    code, out, _ = run(
+        capsys, "verify", "fault-injection", "thm3.4", "--inject-fault", "--n", "3", "--format", fmt
+    )
+    assert code == 1
+    assert out == expected
 
 
 def test_verify_fault_case_absent_without_flag(capsys):
@@ -263,6 +284,20 @@ def test_config_file_errors(tmp_path, capsys):
     assert "key=value" in err
     code, _, err = run(capsys, "table", "deg-bernoulli", "--config", str(tmp_path / "missing"))
     assert code == 2
+    undecodable = tmp_path / "latin.conf"
+    undecodable.write_bytes(b"n=\xff\xfe\n")
+    code, _, err = run(capsys, "table", "deg-bernoulli", "--config", str(undecodable))
+    assert code == 2
+    assert "cannot read config file" in err
+
+
+def test_sampling_config_is_read_by_mc_only(monkeypatch, capsys):
+    monkeypatch.setenv("DEGENPOLY_SEED", "abc")
+    assert run(capsys, "table", "deg-bernoulli", "--n", "1")[0] == 0
+    assert run(capsys, "mc", "thm3.1", "--lambda", "1/8", "--x", "1/4")[0] == 2
+    monkeypatch.delenv("DEGENPOLY_SEED")
+    monkeypatch.setenv("DEGENPOLY_SAMPLES", "1e6")
+    assert run(capsys, "verify", "thm3.4", "--n", "1")[0] == 0
 
 
 @pytest.mark.parametrize(

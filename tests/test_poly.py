@@ -163,9 +163,14 @@ def test_canonical_construction_order(p):
     total = ZERO
     for piece in pieces:
         total = total + piece
-    assert total == p
-    assert hash(total) == hash(p)
-    assert str(total) == str(p)
+    summed = Poly.sum(pieces)
+    for built in (total, summed):
+        assert built == p
+        assert hash(built) == hash(p)
+        assert str(built) == str(p)
+    for zero in (Poly.sum([]), Poly.sum([p, -p])):
+        assert zero == ZERO
+        assert not zero.terms
 
 
 @settings(max_examples=40, deadline=None)
