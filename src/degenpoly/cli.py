@@ -40,13 +40,11 @@ ENV_PREFIX = "DEGENPOLY_"
 FORMATS = ("plain", "json", "csv", "latex")
 
 DEFAULTS = {
-    "order": None,  # resolved per command
     "n": None,
     "format": "plain",
     "samples": 100_000,
     "seed": 42,
 }
-_DEFAULT_TABLE_ORDER = 16
 _DEFAULT_TABLE_N = 10
 _DEFAULT_VERIFY_N = 8
 
@@ -234,6 +232,8 @@ def _order_param(raw: str | None, name: str, meta_params: dict[str, str]) -> Pol
 def _family_series(args, at: Poly, order: int, meta_params: dict[str, str]) -> Series:
     """The generating series of a series-built family, truncated at ``order``."""
     family = args.family
+    if family == FamilyId.FALLING_LAMBDA.value:
+        return families.degenerate_exp(at, order)
     if family == FamilyId.DEG_BERNOULLI.value:
         return families.bernoulli_series(at, order)
     if family == FamilyId.DEG_EULER.value:
@@ -262,16 +262,6 @@ def _family_rows(args, config) -> tuple[list[dict], dict]:
     n_max = config["n"] if config["n"] is not None else _DEFAULT_TABLE_N
     if n_max < 0:
         raise BadParams("--n must be non-negative")
-    order = config["order"]
-    needs_series = family not in (FamilyId.FALLING_LAMBDA.value, FamilyId.STIRLING1.value)
-    if needs_series:
-        effective_order = order if order is not None else max(_DEFAULT_TABLE_ORDER, n_max)
-        if effective_order < n_max:
-            raise BadParams(
-                f"truncation order {effective_order} is too small for --n {n_max}; need order >= n"
-            )
-    else:
-        effective_order = order
 
     pins: dict[str, Poly] = {}
     meta_params: dict[str, str] = {}
@@ -286,26 +276,20 @@ def _family_rows(args, config) -> tuple[list[dict], dict]:
             else:
                 pins[var] = _parse_poly(raw, var)
 
-    def finish(value: Poly) -> Poly:
-        return value.substitute(pins) if pins else value
-
     rows: list[dict] = []
     if family == FamilyId.STIRLING1.value:
+        if meta_params:
+            raise BadParams("stirling1 takes no --lambda, --x or --p: its values are plain numbers")
         for n in range(n_max + 1):
             for k in range(n + 1):
                 value = families.stirling_first(n, k)
                 rows.append({"n": n, "k": k, "value": str(value), "latex": _latex_fraction(value)})
-        meta = {"command": "table", "family": family, "n_max": n_max, "params": meta_params}
-        return rows, meta
-
-    if family == FamilyId.FALLING_LAMBDA.value:
-        values = [families.falling_factorial(at, n) for n in range(n_max + 1)]
     else:
-        values = _family_series(args, at, effective_order, meta_params).egf_coefficients(n_max)
-
-    for n, value in enumerate(values):
-        value = finish(value)
-        rows.append({"n": n, "value": str(value), "latex": poly_latex(value)})
+        # coefficient n of a series depends only on coefficients <= n: order n_max suffices
+        series = _family_series(args, at, n_max, meta_params)
+        for n, value in enumerate(series.egf_coefficients(n_max)):
+            value = value.substitute(pins) if pins else value
+            rows.append({"n": n, "value": str(value), "latex": poly_latex(value)})
     meta = {"command": "table", "family": family, "n_max": n_max, "params": meta_params}
     return rows, meta
 
@@ -326,16 +310,13 @@ def cmd_verify(args) -> int:
     max_n = config["n"] if config["n"] is not None else _DEFAULT_VERIFY_N
     if max_n < 0:
         raise BadParams("--n must be non-negative")
-    order = config["order"]
-    if order is not None and order < max_n + 1:
-        raise BadParams(f"truncation order {order} is too small; shift identities need order >= n+1")
     injected = None
     if args.inject_fault:
         injected = identities.broken_case()
         identities.register(injected)
     try:
         ids = identities.select_ids(args.patterns if args.patterns else None)
-        reports = identities.verify_all(ids, max_n=max_n, order=order)
+        reports = identities.verify_all(ids, max_n=max_n)
     finally:
         if injected is not None:
             identities.unregister(injected.id)
@@ -396,10 +377,7 @@ def cmd_mc(args) -> int:
         raise BadParams("--samples must be positive")
     if seed < 0:
         raise BadParams("--seed must be non-negative")
-    order = config["order"]
-    if order is not None and order < n:
-        raise BadParams(f"truncation order {order} is too small for n={n}")
-    effective_order = max(order if order is not None else 0, n, 1)
+    order = max(n, 1)
 
     point = {"λ": lam_v, "x": x_v}
     meta: dict = {
@@ -413,7 +391,7 @@ def cmd_mc(args) -> int:
     }
     if args.identity == "thm3.1":
         provider = parse_provider(args.provider)
-        target = ShefferSequence(provider, effective_order).polynomial(n, X + Poly.var("y"))
+        target = ShefferSequence(provider, order).polynomial(n, X + Poly.var("y"))
         exact = families.falling_factorial(X, n).evaluate(point)
         meta["provider"] = provider.label()
     else:  # thm3.7
@@ -423,7 +401,7 @@ def cmd_mc(args) -> int:
             raise BadParams("thm3.7 needs integers m >= l >= 1")
         outer = IidSum(Bernoulli(Fraction(1, 2)), m)
         provider = IidSum(Bernoulli(Fraction(1, 2)), l)
-        target = ShefferSequence(outer, effective_order).polynomial(n, X + Poly.var("y"))
+        target = ShefferSequence(outer, order).polynomial(n, X + Poly.var("y"))
         exact = families.higher_euler(n, m - l, X).evaluate(point)
         meta["provider"] = provider.label()
         meta["m"] = m
@@ -480,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, with_mc: bool = False):
         p.add_argument("--n", type=int, default=None, help="largest index n")
-        p.add_argument("--order", type=int, default=None, help="series truncation order")
         p.add_argument("--format", default=None, help="plain, json, csv or latex")
         p.add_argument("--config", default=None, help="key=value config file")
         if with_mc:

@@ -99,13 +99,13 @@ def sheffer_type_series(a_param: PolyLike, b_param: PolyLike, at: PolyLike, orde
     )
 
 
-def bernoulli_polynomials(n_max: int, at: PolyLike = ZERO, order: int | None = None) -> list[Poly]:
+def bernoulli_polynomials(n_max: int, at: PolyLike = ZERO) -> list[Poly]:
     """Degenerate Bernoulli values for n = 0..n_max, from the generating series."""
-    return bernoulli_series(at, n_max if order is None else order).egf_coefficients(n_max)
+    return bernoulli_series(at, n_max).egf_coefficients(n_max)
 
 
-def euler_polynomials(n_max: int, at: PolyLike = ZERO, order: int | None = None) -> list[Poly]:
-    return euler_series(at, n_max if order is None else order).egf_coefficients(n_max)
+def euler_polynomials(n_max: int, at: PolyLike = ZERO) -> list[Poly]:
+    return euler_series(at, n_max).egf_coefficients(n_max)
 
 
 def bernoulli_deg(n: int, at: PolyLike = ZERO) -> Poly:

@@ -19,7 +19,7 @@ from math import comb, factorial
 from typing import Callable, Iterable
 
 from .poly import Poly, ZERO, ONE, LAM, X, Y, A, B, P, as_poly
-from .series import OrderExceeded, Series
+from .series import Series
 from . import families
 from .randvar import (
     Bernoulli,
@@ -93,7 +93,7 @@ class Workspace:
     def falling(self, base: Poly) -> list[Poly]:
         return self._get(
             ("falling", base),
-            lambda: [families.falling_factorial(base, n) for n in range(self.order + 1)],
+            lambda: self.exp_of(base).egf_coefficients(self.order),
         )
 
     def higher_bernoulli(self, e, at: Poly) -> list[Poly]:
@@ -201,19 +201,17 @@ def select_ids(patterns: Iterable[str] | None) -> list[str]:
     return [i for i in _REGISTRY if i in chosen]
 
 
-def verify(case_id: str, max_n: int = 8, order: int | None = None, workspace: Workspace | None = None) -> Report:
+def verify(case_id: str, max_n: int = 8, workspace: Workspace | None = None) -> Report:
     """Check one identity for n = 0..max_n; exact polynomial comparison.
 
-    The series order needs one spare coefficient beyond max_n because the
-    shift identities look one index ahead or behind.
+    The series are built at order max_n + 1, one spare coefficient because
+    the shift identities look one index ahead; ``workspace`` is reused when
+    its order reaches that.
     """
     case = _REGISTRY.get(case_id)
     if case is None:
         raise UnknownIdentity(f"no identity registered under {case_id!r}")
-    if order is None:
-        order = max_n + 1
-    if order < max_n + 1:
-        raise OrderExceeded(f"order {order} leaves no margin above max n {max_n}")
+    order = max_n + 1
     ws = workspace if workspace is not None and workspace.order >= order else Workspace(order)
     for label, lhs, rhs in case.build(ws):
         for n in range(max_n + 1):
@@ -224,7 +222,7 @@ def verify(case_id: str, max_n: int = 8, order: int | None = None, workspace: Wo
     return Report(case.id, max_n, True)
 
 
-def verify_all(ids: Iterable[str] | None = None, max_n: int = 8, order: int | None = None) -> list[Report]:
+def verify_all(ids: Iterable[str] | None = None, max_n: int = 8) -> list[Report]:
     """Check the given ids (default: the whole registry), sharing one workspace.
 
     Reports come back in registry order.
@@ -234,10 +232,8 @@ def verify_all(ids: Iterable[str] | None = None, max_n: int = 8, order: int | No
     else:
         wanted = set(ids)
         ids = [i for i in registered_ids() if i in wanted]
-    if order is None:
-        order = max_n + 1
-    ws = Workspace(order)
-    return [verify(i, max_n=max_n, order=order, workspace=ws) for i in ids]
+    ws = Workspace(max_n + 1)
+    return [verify(i, max_n=max_n, workspace=ws) for i in ids]
 
 
 # -- the registry -----------------------------------------------------------------

@@ -134,7 +134,7 @@ def test_criterion_5_random_variable_layer():
             if expect_polynomial(seq.polynomial(n, X + Y), provider) != falling_factorial(X, n):
                 ok = False
     coin = Bernoulli(Fraction(1, 2))
-    euler = euler_polynomials(10, X, order=10)
+    euler = euler_polynomials(10, X)
     if ShefferSequence(coin, 10).polynomials(10, X) != euler:
         ok = False
     for m in range(1, 6):

@@ -26,6 +26,8 @@ from degenpoly import (
     sheffer_type,
     stirling_first,
 )
+from degenpoly import P, Bernoulli, IidSum, ShefferSequence, Uniform01
+from degenpoly import families
 from degenpoly.families import FamilyId, degenerate_exp
 
 import oracles
@@ -207,11 +209,23 @@ def test_falling_basis_of_plain_falling_factorial():
     assert coeffs == [ZERO, ZERO, ZERO, ONE]
 
 
-def test_list_extraction_respects_truncation():
-    import degenpoly
-
-    with pytest.raises(degenpoly.OrderExceeded):
-        bernoulli_polynomials(6, order=4)
+def test_coefficients_up_to_n_do_not_depend_on_the_order():
+    # the CLI builds every series at the order its n needs; a longer series adds nothing below n
+    builders = {
+        "degenerate_exp": lambda order: degenerate_exp(X, order),
+        "bernoulli": lambda order: families.bernoulli_series(X, order),
+        "euler": lambda order: families.euler_series(X, order),
+        "higher_bernoulli": lambda order: families.higher_bernoulli_series(A, X, order),
+        "higher_euler": lambda order: families.higher_euler_series(B, X, order),
+        "sheffer_type": lambda order: families.sheffer_type_series(A, B, X, order),
+        "uniform01": lambda order: ShefferSequence(Uniform01(), order).series(X),
+        "ber:p": lambda order: ShefferSequence(Bernoulli(P), order).series(X),
+        "iid:ber:1/2:2": lambda order: ShefferSequence(IidSum(Bernoulli(half), 2), order).series(X),
+    }
+    for name, build in builders.items():
+        for n in range(5):
+            minimal = build(n).egf_coefficients(n)
+            assert minimal == build(n + 3).egf_coefficients(n), (name, n)
 
 
 def test_family_id_covers_cli_names():

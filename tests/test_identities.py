@@ -2,7 +2,6 @@ import pytest
 
 from degenpoly import (
     Poly,
-    OrderExceeded,
     UnknownIdentity,
     X,
     A,
@@ -91,11 +90,6 @@ def test_verify_all_empty_filter():
     assert verify_all(ids=[]) == []
 
 
-def test_order_margin_enforced():
-    with pytest.raises(OrderExceeded):
-        verify("thm2.4", max_n=8, order=8)
-
-
 def test_corrupted_entry_is_caught():
     case = identities.broken_case("test-corrupt")
     identities.register(case)
@@ -135,9 +129,9 @@ def test_shift_by_construction_matches_substitution():
 
 def test_workspace_is_reused_across_cases():
     ws = identities.Workspace(5)
-    first = verify("prop2.1-B", max_n=4, order=5, workspace=ws)
+    first = verify("prop2.1-B", max_n=4, workspace=ws)
     cached = len(ws._cache)
-    second = verify("cor2.2-B", max_n=4, order=5, workspace=ws)
+    second = verify("cor2.2-B", max_n=4, workspace=ws)
     assert first.equal and second.equal
     assert len(ws._cache) > cached  # grew, not rebuilt
     assert ws._cache  # shared state retained

@@ -104,7 +104,7 @@ def test_mgf_constant_term_is_one():
 
 def test_sheffer_for_fair_coin_is_euler():
     seq = ShefferSequence(Bernoulli(half), 10)
-    euler = euler_polynomials(10, X, order=10)
+    euler = euler_polynomials(10, X)
     for n in range(11):
         assert seq.polynomial(n, X) == euler[n]
 
