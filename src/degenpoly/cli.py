@@ -221,6 +221,28 @@ def _render_rows(rows: list[dict], columns: list[str], fmt: str, meta: dict) -> 
 _SHEFFER_Y = "sheffer-y"
 _FAMILY_NAMES = [f.value for f in FamilyId] + [_SHEFFER_Y]
 
+# the optional table flags, by argparse dest, and the ones each family reads
+_TABLE_FLAGS = {"lam": "--lambda", "x": "--x", "p": "--p", "a": "--a", "b": "--b",
+                "provider": "--provider"}
+_FAMILY_FLAGS = {
+    FamilyId.FALLING_LAMBDA.value: {"lam", "x"},
+    FamilyId.DEG_BERNOULLI.value: {"lam", "x"},
+    FamilyId.DEG_EULER.value: {"lam", "x"},
+    FamilyId.HIGHER_BERNOULLI.value: {"lam", "x", "a"},
+    FamilyId.HIGHER_EULER.value: {"lam", "x", "b"},
+    FamilyId.SHEFFER_T.value: {"lam", "x", "a", "b"},
+    FamilyId.STIRLING1.value: set(),
+    _SHEFFER_Y: {"lam", "x", "p", "provider"},
+}
+
+
+def _reject_unread(args, reads: set[str], flags: dict[str, str], target: str) -> None:
+    """Exit 2 on a flag that ``target`` never reads, rather than echo or drop it silently."""
+    unread = [flag for dest, flag in flags.items()
+              if dest not in reads and getattr(args, dest) is not None]
+    if unread:
+        raise BadParams(f"{target} takes no {', '.join(unread)}")
+
 
 def _order_param(raw: str | None, name: str, meta_params: dict[str, str]) -> Poly:
     """An order parameter from its flag, symbolic when the flag is absent."""
@@ -263,6 +285,7 @@ def _family_rows(args, config) -> tuple[list[dict], dict]:
     if n_max < 0:
         raise BadParams("--n must be non-negative")
 
+    _reject_unread(args, _FAMILY_FLAGS[family], _TABLE_FLAGS, family)
     pins: dict[str, Poly] = {}
     meta_params: dict[str, str] = {}
     at = X if family == FamilyId.FALLING_LAMBDA.value else ZERO
@@ -278,8 +301,6 @@ def _family_rows(args, config) -> tuple[list[dict], dict]:
 
     rows: list[dict] = []
     if family == FamilyId.STIRLING1.value:
-        if meta_params:
-            raise BadParams("stirling1 takes no --lambda, --x or --p: its values are plain numbers")
         for n in range(n_max + 1):
             for k in range(n + 1):
                 value = families.stirling_first(n, k)
@@ -362,7 +383,12 @@ def cmd_verify(args) -> int:
 # -- mc command --------------------------------------------------------------------
 
 
+_MC_FLAGS = {"provider": "--provider", "m": "--m", "l": "--l"}
+_MC_READS = {"thm3.1": {"provider"}, "thm3.7": {"m", "l"}}
+
+
 def cmd_mc(args) -> int:
+    _reject_unread(args, _MC_READS[args.identity], _MC_FLAGS, args.identity)
     config = resolve_common(args)
     n = config["n"] if config["n"] is not None else 1
     if n < 0:
@@ -390,7 +416,7 @@ def cmd_mc(args) -> int:
         "seed": seed,
     }
     if args.identity == "thm3.1":
-        provider = parse_provider(args.provider)
+        provider = parse_provider(args.provider if args.provider is not None else "uniform01")
         target = ShefferSequence(provider, order).polynomial(n, X + Poly.var("y"))
         exact = families.falling_factorial(X, n).evaluate(point)
         meta["provider"] = provider.label()
@@ -484,7 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     mc = sub.add_parser("mc", help="Monte-Carlo spot check of an expectation identity")
     mc.add_argument("identity", choices=["thm3.1", "thm3.7"])
     common(mc, with_mc=True)
-    mc.add_argument("--provider", default="uniform01", help="sampling provider (thm3.1)")
+    mc.add_argument("--provider", default=None,
+                    help="sampling provider (thm3.1; default uniform01)")
     mc.add_argument("--lambda", dest="lam", default=None, help="rational value for λ")
     mc.add_argument("--x", default=None, help="rational value for x")
     mc.add_argument("--m", type=int, default=None, help="outer copy count (thm3.7)")

@@ -2,8 +2,11 @@
 
 Polynomials live in Q[λ, x, y, a, b, p] with a fixed, ordered variable
 registry.  Terms are stored as a map from dense exponent tuples (one slot
-per registry variable) to nonzero ``Fraction`` coefficients, so mathematical
-equality of polynomials coincides with structural equality of the maps.
+per registry variable) to nonzero integer numerators over one common
+denominator.  The pair is kept reduced (denominator ≥ 1, no common factor
+of the denominator and all numerators), so mathematical equality of
+polynomials coincides with structural equality of the pairs.  Products and
+sums work on the integers and reduce once per result, not once per term.
 
 The canonical term order used for printing is graded lexicographic over the
 registry order (λ before x before y before a before b before p), highest
@@ -15,7 +18,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Union
+from math import gcd, lcm
+from operator import add
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 VAR_NAMES: tuple[str, ...] = ("λ", "x", "y", "a", "b", "p")
 NVARS = len(VAR_NAMES)
@@ -42,59 +47,102 @@ def canonical_var(name: str) -> str:
     return name
 
 
-class Poly:
-    """Immutable polynomial in the registry variables with Fraction coefficients.
+class _Terms(Mapping):
+    """Read-only view of a polynomial's terms as exact ``Fraction`` coefficients.
 
-    Instances are canonical (no zero terms stored) and hashable; all
+    Length and iteration read the stored numerators; a ``Fraction`` is built
+    only when a coefficient is read.
+    """
+
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums: dict[tuple[int, ...], int], den: int):
+        self._nums = nums
+        self._den = den
+
+    def __getitem__(self, exps: tuple[int, ...]) -> Fraction:
+        return Fraction(self._nums[exps], self._den)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return iter(self._nums)
+
+    def __len__(self) -> int:
+        return len(self._nums)
+
+
+class Poly:
+    """Immutable polynomial in the registry variables with rational coefficients.
+
+    Instances are canonical (reduced integer numerators over a denominator
+    ≥ 1, no zero numerator; zero is ``({}, 1)``) and hashable; all
     operations are pure and return new values, so sharing across threads
     is safe.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_nums", "_den", "_hash")
 
     def __init__(self, terms: Mapping[tuple[int, ...], Scalar] | None = None):
-        canon: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff:
-                    canon[exps] = coeff
-        self._terms = canon
-        self._hash: int | None = None
+        coeffs = {exps: Fraction(c) for exps, c in terms.items()} if terms else {}
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        nums = {exps: c.numerator * (den // c.denominator) for exps, c in coeffs.items()}
+        made = Poly._make(nums, den)
+        self._nums, self._den, self._hash = made._nums, made._den, None
+
+    @classmethod
+    def _make(cls, nums: dict[tuple[int, ...], int], den: int) -> "Poly":
+        """Trusted constructor: drop zero numerators and divide out the common factor.
+
+        ``den`` must be positive; ``nums`` is taken over, not copied.
+        """
+        if 0 in nums.values():
+            nums = {exps: c for exps, c in nums.items() if c}
+        if not nums:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                nums = {exps: c // g for exps, c in nums.items()}
+                den //= g
+        self = object.__new__(cls)
+        self._nums = nums
+        self._den = den
+        self._hash = None
+        return self
 
     @classmethod
     def const(cls, value: Scalar) -> "Poly":
-        return cls({_ZERO_EXP: Fraction(value)})
+        value = Fraction(value)
+        return cls._make({_ZERO_EXP: value.numerator}, value.denominator)
 
     @classmethod
     def var(cls, name: str) -> "Poly":
         exps = [0] * NVARS
         exps[_VAR_INDEX[canonical_var(name)]] = 1
-        return cls({tuple(exps): Fraction(1)})
+        return cls._make({tuple(exps): 1}, 1)
 
     # -- basic structure ---------------------------------------------------
 
     @property
     def terms(self) -> Mapping[tuple[int, ...], Fraction]:
-        return self._terms
+        return _Terms(self._nums, self._den)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     def is_constant(self) -> bool:
-        return not self._terms or self._terms.keys() == {_ZERO_EXP}
+        return not self._nums or self._nums.keys() == {_ZERO_EXP}
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (raises if non-constant)."""
-        if not self._terms:
+        if not self._nums:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return self._terms[_ZERO_EXP]
+        return Fraction(self._nums[_ZERO_EXP], self._den)
 
     def variables(self) -> set[str]:
         used: set[str] = set()
-        for exps in self._terms:
+        for exps in self._nums:
             for i, e in enumerate(exps):
                 if e:
                     used.add(VAR_NAMES[i])
@@ -102,23 +150,23 @@ class Poly:
 
     def degree(self, var: str | None = None) -> int:
         """Total degree, or the degree in one variable.  Zero poly has degree 0."""
-        if not self._terms:
+        if not self._nums:
             return 0
         if var is None:
-            return max(sum(exps) for exps in self._terms)
+            return max(sum(exps) for exps in self._nums)
         i = _VAR_INDEX[canonical_var(var)]
-        return max(exps[i] for exps in self._terms)
+        return max(exps[i] for exps in self._nums)
 
     def coefficient_of(self, var: str, power: int) -> Poly:
         """Collect the terms with the given power of ``var``, dropping that factor."""
         i = _VAR_INDEX[canonical_var(var)]
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self._terms.items():
+        out: dict[tuple[int, ...], int] = {}
+        for exps, num in self._nums.items():
             if exps[i] == power:
                 reduced = list(exps)
                 reduced[i] = 0
-                out[tuple(reduced)] = coeff
-        return Poly(out)
+                out[tuple(reduced)] = num
+        return Poly._make(out, self._den)
 
     # -- ring operations ---------------------------------------------------
 
@@ -132,12 +180,16 @@ class Poly:
 
     @classmethod
     def sum(cls, polys: Iterable["Poly"]) -> "Poly":
-        """Add polynomials into one term map and canonicalise once; all term addition is here."""
-        out: dict[tuple[int, ...], Fraction] = {}
+        """Add over the common denominator and reduce once; all term addition is here."""
+        polys = list(polys)
+        den = lcm(*(p._den for p in polys))
+        out: dict[tuple[int, ...], int] = {}
+        get = out.get
         for p in polys:
-            for exps, coeff in p._terms.items():
-                out[exps] = out.get(exps, 0) + coeff
-        return cls(out)
+            scale = den // p._den
+            for exps, num in p._nums.items():
+                out[exps] = get(exps, 0) + num * scale
+        return cls._make(out, den)
 
     def __add__(self, other) -> "Poly":
         other = self._coerce(other)
@@ -148,7 +200,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly({exps: -coeff for exps, coeff in self._terms.items()})
+        return Poly._make({exps: -num for exps, num in self._nums.items()}, self._den)
 
     def __sub__(self, other) -> "Poly":
         other = self._coerce(other)
@@ -166,14 +218,14 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self._terms or not other._terms:
-            return Poly()
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                key = tuple(i + j for i, j in zip(ea, eb))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return Poly(out)
+        out: dict[tuple[int, ...], int] = {}
+        get = out.get
+        b_items = other._nums.items()
+        for ea, na in self._nums.items():
+            for eb, nb in b_items:
+                key = tuple(map(add, ea, eb))
+                out[key] = get(key, 0) + na * nb
+        return Poly._make(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -200,11 +252,11 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash((self._den, frozenset(self._nums.items())))
         return self._hash
 
     # -- substitution and evaluation ----------------------------------------
@@ -229,13 +281,13 @@ class Poly:
             if got is None:
                 base = amap.get(i)
                 if base is None:
-                    base = Poly({tuple(1 if j == i else 0 for j in range(NVARS)): Fraction(1)})
+                    base = Poly.var(VAR_NAMES[i])
                 got = base ** e
                 power_cache[key] = got
             return got
 
         terms = []
-        for exps, coeff in self._terms.items():
+        for exps, coeff in self.terms.items():
             term = Poly.const(coeff)
             for i, e in enumerate(exps):
                 if e:
@@ -253,7 +305,7 @@ class Poly:
         for name, v in point.items():
             values[_VAR_INDEX[canonical_var(name)]] = Fraction(v)
         total = Fraction(0)
-        for exps, coeff in self._terms.items():
+        for exps, coeff in self.terms.items():
             term = coeff
             for i, e in enumerate(exps):
                 if e:
@@ -267,7 +319,7 @@ class Poly:
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms in descending graded-lexicographic order."""
-        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     @staticmethod
     def _monomial_str(exps: tuple[int, ...]) -> str:
@@ -291,7 +343,7 @@ class Poly:
         tuple (empty for the constant term), and ``times`` joins the two; a
         magnitude of 1 in front of a monomial is omitted.
         """
-        if not self._terms:
+        if not self._nums:
             return "0"
         pieces: list[str] = []
         for exps, coeff in self.sorted_terms():

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's production code paths:
 classical polynomial families come from their own recurrences, series
-logarithms from the alternating-power composition formula, and binomial
-series from the explicit product.  Expected values asserted in the tests
+logarithms from the alternating-power composition formula, binomial
+series from the explicit product, and polynomial ring operations from a
+plain map of ``Fraction`` coefficients.  Expected values asserted in the tests
 were computed with these.
 """
 
@@ -55,6 +56,30 @@ def exp_by_powers(series: Series) -> Series:
         power = power * series
         total = total + power * Fraction(1, factorial(k))
     return total
+
+
+# The Fraction-dict polynomial kernel: a term map from exponent tuples to
+# nonzero Fraction coefficients, with one Fraction operation per term pair.
+
+
+def terms_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(i + j for i, j in zip(ea, eb))
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return {exps: c for exps, c in out.items() if c}
+
+
+def terms_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for exps, c in b.items():
+        out[exps] = out.get(exps, Fraction(0)) + c
+    return {exps: c for exps, c in out.items() if c}
+
+
+def terms_neg(a: dict) -> dict:
+    return {exps: -c for exps, c in a.items()}
 
 
 def binomial_coefficient_poly(n: int) -> Poly:

@@ -316,6 +316,10 @@ def test_sampling_config_is_read_by_mc_only(monkeypatch, capsys):
         ("table", "stirling1", "--lambda", "1/2"),
         ("table", "stirling1", "--x", "x"),
         ("table", "stirling1", "--p", "1/3"),
+        ("table", "deg-bernoulli", "--n", "1", "--p", "1/3", "--a", "1/0", "--provider", "bogus",
+         "--format", "json"),
+        ("mc", "thm3.7", "--provider", "bogus", "--lambda", "1/2", "--x", "1/3"),
+        ("mc", "thm3.1", "--m", "3", "--l", "2", "--lambda", "1/2", "--x", "1/3"),
     ],
 )
 def test_usage_errors_exit_2(argv, tmp_path, capsys):
@@ -358,6 +362,59 @@ def test_exit_codes_are_0_or_2(argv):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 2), argv
+
+
+_MC_PROVIDERS = (("uniform01", "ber:1/2", "iid:uniform01:2"),
+                 ("zero", "ber:p", "ber:3/2", "iid::2"))
+_MC_COPIES = (((2, 1), (3, 2), (2, 2)), ((1, 2), (0, 0), (2, -1)))
+
+
+@st.composite
+def _mc_argv(draw) -> tuple[list[str], bool]:
+    """An mc argv and whether it holds a malformed, unsamplable, missing or unread value."""
+    bad = False
+
+    def pick(good, malformed):
+        nonlocal bad
+        if draw(st.integers(0, 4)) == 0:
+            bad = True
+            return draw(st.sampled_from(malformed))
+        return draw(st.sampled_from(good))
+
+    identity = draw(st.sampled_from(("thm3.1", "thm3.7")))
+    argv = ["mc", identity, "--n", pick(("0", "1", "2", "3"), ("-1",)),
+            "--samples", pick(("1", "200", "1000"), ("0",)), "--seed", "7"]
+    for flag in ("--lambda", "--x"):
+        value = pick(("1/8", "1/4", "2/3"), ("1/0", "x", "nope", None))  # None: flag left out
+        if value is not None:
+            argv += [flag, value]
+    if draw(st.booleans()):
+        if identity == "thm3.1":
+            spec = pick(*_MC_PROVIDERS)
+        else:
+            bad, spec = True, draw(st.sampled_from(_MC_PROVIDERS[0]))
+        argv += ["--provider", spec]
+    if draw(st.booleans()):
+        if identity == "thm3.7":
+            m, l = pick(*_MC_COPIES)
+        else:
+            bad, (m, l) = True, draw(st.sampled_from(_MC_COPIES[0]))
+        argv += ["--m", str(m), "--l", str(l)]
+    argv += ["--format", pick(FORMATS, ("xml",))]
+    return argv, bad
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mc_argv())
+def test_mc_exit_codes(case):
+    argv, bad = case
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    # 1 is a failed Monte-Carlo check, which only a well-formed argv may report
+    assert (code == 2) if bad else (code in (0, 1)), argv
 
 
 def test_poly_latex_rendering():

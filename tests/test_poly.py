@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from degenpoly import Poly, UnboundVariable, VAR_NAMES, ZERO, ONE, LAM, X, Y, P
 from degenpoly.poly import as_poly
+
+from oracles import terms_add, terms_mul, terms_neg
 
 
 def test_falling_product_expands():
@@ -117,7 +120,7 @@ coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
 @st.composite
-def polys(draw, var_names=("λ", "x"), max_terms=4, max_exp=3):
+def term_maps(draw, var_names=("λ", "x"), max_terms=4, max_exp=3):
     indices = [VAR_NAMES.index(v) for v in var_names]
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
@@ -125,7 +128,47 @@ def polys(draw, var_names=("λ", "x"), max_terms=4, max_exp=3):
         for i in indices:
             exps[i] = draw(st.integers(0, max_exp))
         terms[tuple(exps)] = draw(coefficients)
-    return Poly(terms)
+    return terms
+
+
+def polys(var_names=("λ", "x"), max_terms=4, max_exp=3):
+    return term_maps(var_names, max_terms, max_exp).map(Poly)
+
+
+def assert_canonical(p: Poly) -> None:
+    """Reduced integer numerators over a denominator >= 1; zero is ({}, 1)."""
+    nums, den = p._nums, p._den
+    assert type(den) is int and den >= 1
+    assert all(type(c) is int and c for c in nums.values())
+    assert gcd(den, *nums.values()) == 1
+    assert len(p.terms) == len(nums) == len(list(p.terms))
+
+
+@settings(max_examples=80, deadline=None)
+@given(term_maps(("λ", "x", "y")), term_maps(("λ", "x", "y")), st.integers(-6, 6).filter(bool))
+def test_kernel_matches_fraction_reference(a, b, k):
+    ref_a = {exps: Fraction(c) for exps, c in a.items() if c}
+    ref_b = {exps: Fraction(c) for exps, c in b.items() if c}
+    p, q = Poly(a), Poly(b)
+    assert dict(p.terms) == ref_a and dict(q.terms) == ref_b
+    cases = [
+        (p * q, terms_mul(ref_a, ref_b)),
+        (p + q, terms_add(ref_a, ref_b)),
+        (p - q, terms_add(ref_a, terms_neg(ref_b))),
+        (-p, terms_neg(ref_a)),
+        (p / k, terms_mul(ref_a, {(0,) * len(VAR_NAMES): Fraction(1, k)})),
+        (Poly.sum([p, q, -p]), ref_b),
+    ]
+    for got, want in cases:
+        assert dict(got.terms) == want
+        assert all(type(c) is Fraction for c in got.terms.values())
+        assert_canonical(got)
+    for built in (q * p, Poly(dict(reversed(list(a.items())))) * q, Poly.sum([-q, q, q]) * p):
+        assert built == p * q
+        assert hash(built) == hash(p * q)
+    assert_canonical(Poly(a))
+    assert (ZERO._nums, ZERO._den) == ({}, 1)
+    assert ((p - p)._nums, (p - p)._den) == ({}, 1)
 
 
 @settings(max_examples=60, deadline=None)
