@@ -7,12 +7,10 @@ from .families import (
     FamilyId,
     IndexOutOfRange,
     bernoulli_deg,
-    bernoulli_number_rec,
     bernoulli_polynomials,
     bernoulli_series,
     degenerate_exp,
     euler_deg,
-    euler_number_rec,
     euler_polynomials,
     euler_series,
     falling_basis_coefficients,

@@ -251,6 +251,13 @@ def _order_param(raw: str | None, name: str, meta_params: dict[str, str]) -> Pol
     return value
 
 
+def _has_symbolic_p(provider: MomentProvider) -> bool:
+    """Whether the provider spec holds the symbolic p: ``ber:p``, or an ``iid:`` sum of it."""
+    if isinstance(provider, IidSum):
+        return _has_symbolic_p(provider.base)
+    return isinstance(provider, Bernoulli) and "p" in provider.p.variables()
+
+
 def _family_series(args, at: Poly, order: int, meta_params: dict[str, str]) -> Series:
     """The generating series of a series-built family, truncated at ``order``."""
     family = args.family
@@ -274,6 +281,8 @@ def _family_series(args, at: Poly, order: int, meta_params: dict[str, str]) -> S
         if args.provider is None:
             raise BadParams("family sheffer-y needs --provider")
         provider = parse_provider(args.provider)
+        if args.p is not None and not _has_symbolic_p(provider):
+            raise BadParams(f"sheffer-y with provider {args.provider} takes no --p")
         meta_params["provider"] = args.provider
         return ShefferSequence(provider, order).series(at)
     raise BadParams(f"unknown family {family!r}; pick one of {', '.join(_FAMILY_NAMES)}")

@@ -1,10 +1,11 @@
-"""Constructors for the polynomial families and their independent oracles.
+"""Constructors for the polynomial families.
 
 Every family is produced by extracting exponential coefficients from its
-generating series; the recurrence-based constructors recompute the number
-sequences by an entirely separate route and exist to cross-check the series
-path.  Results are cached; the caches are behind ``functools.lru_cache``,
-which is safe to hit from several threads.
+generating series.  Only the two base series (``bernoulli_base``,
+``euler_base``) and ``stirling_first`` are cached, behind
+``functools.lru_cache`` for the life of the process; everything else is
+rebuilt on each call, and the identity checker's ``Workspace`` holds what
+its cases share.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from .poly import Poly, PolyLike, ZERO, ONE, LAM, as_poly
 from .series import Series
@@ -126,45 +127,6 @@ def higher_euler(n: int, order_param: PolyLike, at: PolyLike = ZERO) -> Poly:
 
 def sheffer_type(n: int, a_param: PolyLike, b_param: PolyLike, at: PolyLike = ZERO) -> Poly:
     return sheffer_type_series(a_param, b_param, at, n).egf_coefficient(n)
-
-
-# -- recurrence oracles -------------------------------------------------------
-#
-# The number sequences are pinned down by the relations
-#     sum_{k<n} C(n,k) * B_k * (1)_{n-k,λ} = [n == 1]      (B_0 = 1)
-#     2*E_n + sum_{k<n} C(n,k) * E_k * (1)_{n-k,λ} = 2*[n == 0]
-# obtained by binomially expanding the shifted sequence and replacing each
-# formal power with the number of that index.  At relation index n the
-# highest number not yet determined is B_{n-1} (its coefficient on the left
-# is n) respectively E_n (coefficient 2), so each relation is solved for
-# that number.
-
-
-@lru_cache(maxsize=None)
-def bernoulli_number_rec(n: int) -> Poly:
-    """Degenerate Bernoulli number by recurrence, independent of the series path."""
-    if n < 0:
-        raise ValueError("need n >= 0")
-    if n == 0:
-        return ONE
-    m = n + 1
-    acc = ZERO
-    for k in range(n):
-        acc = acc + bernoulli_number_rec(k) * falling_factorial(ONE, m - k) * comb(m, k)
-    return acc / (-m)
-
-
-@lru_cache(maxsize=None)
-def euler_number_rec(n: int) -> Poly:
-    """Degenerate Euler number by recurrence, independent of the series path."""
-    if n < 0:
-        raise ValueError("need n >= 0")
-    if n == 0:
-        return ONE
-    acc = ZERO
-    for k in range(n):
-        acc = acc + euler_number_rec(k) * falling_factorial(ONE, n - k) * comb(n, k)
-    return acc / (-2)
 
 
 @lru_cache(maxsize=None)

@@ -6,8 +6,8 @@ parameters kept symbolic wherever the algebra permits (a verified
 identity in Q[a] covers every real order).  Integer-only parameters
 (copy counts of i.i.d. sums) are enumerated over a small fixed set.
 
-A ``Workspace`` memoizes the generating series shared between cases, so
-a full-registry run costs each expensive series once.
+A ``Workspace`` memoizes the generating series and the moment tables the
+cases share, so a full-registry run costs each of them once.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .series import Series
 from . import families
 from .randvar import (
     Bernoulli,
+    CustomMoments,
     IidSum,
     MomentProvider,
     ShefferSequence,
@@ -127,6 +128,13 @@ class Workspace:
                 * self.power(families.euler_base(self.order), e2)
                 * self.exp_of(at)
             ).egf_coefficients(self.order),
+        )
+
+    def moments(self, provider: MomentProvider) -> CustomMoments:
+        """The provider's moments 0..order, read off one moment series."""
+        return self._get(
+            ("moments", provider),
+            lambda: CustomMoments(provider.mgf(self.order).egf_coefficients(self.order)),
         )
 
     def sheffer(self, provider: MomentProvider, at: Poly) -> list[Poly]:
@@ -394,8 +402,8 @@ def _thm31(ws: Workspace) -> list[Instance]:
     for provider in (_UNIFORM, _BER_HALF, _BER_P):
         shifted = ws.sheffer(provider, X + Y)
 
-        def lhs(n: int, shifted=shifted, provider=provider) -> Poly:
-            return expect_polynomial(shifted[n], provider)
+        def lhs(n: int, shifted=shifted, moments=ws.moments(provider)) -> Poly:
+            return expect_polynomial(shifted[n], moments)
 
         instances.append((provider.label(), lhs, falling.__getitem__))
     return instances
@@ -443,7 +451,7 @@ def _thm36(ws: Workspace) -> list[Instance]:
     instances: list[Instance] = []
     for m, l in ((2, 1), (3, 1), (3, 2)):
         shifted = ws.higher_bernoulli(m, X + Y)
-        averaged = [expect_polynomial(v, IidSum(_UNIFORM, l)) for v in shifted]
+        averaged = [expect_polynomial(v, ws.moments(IidSum(_UNIFORM, l))) for v in shifted]
         lhs = _convolution(averaged, _stirling_weights(m, ws.order))
         rhs = _convolution(ws.higher_bernoulli(m - l, X), _stirling_weights(m - l, ws.order))
         instances.append((f"m={m},l={l}", lhs, rhs))
@@ -455,7 +463,7 @@ def _thm37(ws: Workspace) -> list[Instance]:
     instances: list[Instance] = []
     for m, l in ((2, 1), (3, 1), (3, 2)):
         shifted = ws.sheffer(IidSum(_BER_HALF, m), X + Y)
-        inner = IidSum(_BER_HALF, l)
+        inner = ws.moments(IidSum(_BER_HALF, l))
         remaining = ws.higher_euler(m - l, X)
 
         def lhs(n: int, shifted=shifted, inner=inner) -> Poly:

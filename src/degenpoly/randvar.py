@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -42,7 +41,7 @@ class MomentProvider:
 
     def mgf(self, order: int) -> Series:
         """The moment series: exponential coefficient n is moment(n)."""
-        return _mgf_cached(self, order)
+        return Series.from_egf(self.moment, order)
 
     def sample_array(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise UnsamplableProvider(f"{self.label()} cannot be sampled")
@@ -51,17 +50,16 @@ class MomentProvider:
         return type(self).__name__.lower()
 
 
-@lru_cache(maxsize=None)
-def _mgf_cached(provider: MomentProvider, order: int) -> Series:
-    return Series.from_egf(provider.moment, order)
-
-
 @dataclass(frozen=True)
 class Uniform01(MomentProvider):
     """Uniform on [0, 1]: moments by exact termwise integration."""
 
     def moment(self, n: int) -> Poly:
-        return _uniform01_moment(n)
+        return self.mgf(n).egf_coefficient(n)
+
+    def mgf(self, order: int) -> Series:
+        # coefficient n of e_λ^y(t) is (y)_{n,λ}/n!, and its integral over [0, 1] is moment(n)/n!
+        return degenerate_exp(Poly.var("y"), order).map_coefficients(_integrate_unit_interval)
 
     def sample_array(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.random(size)
@@ -70,11 +68,9 @@ class Uniform01(MomentProvider):
         return "uniform01"
 
 
-@lru_cache(maxsize=None)
-def _uniform01_moment(n: int) -> Poly:
-    # integrate each power of y over [0, 1]: y^k contributes 1/(k+1)
-    expanded = falling_factorial(Poly.var("y"), n)
-    slices = (expanded.coefficient_of("y", k) for k in range(expanded.degree("y") + 1))
+def _integrate_unit_interval(p: Poly) -> Poly:
+    """The integral of p over y in [0, 1]: y^k contributes 1/(k+1)."""
+    slices = (p.coefficient_of("y", k) for k in range(p.degree("y") + 1))
     return Poly.sum(c / (k + 1) for k, c in enumerate(slices) if c)
 
 
@@ -120,7 +116,7 @@ class IidSum(MomentProvider):
 
     def mgf(self, order: int) -> Series:
         # independence: the moment series of the sum is the m-th power
-        return _iid_mgf_cached(self, order)
+        return self.base.mgf(order).pow_int(self.m)
 
     def sample_array(self, rng: np.random.Generator, size: int) -> np.ndarray:
         total = self.base.sample_array(rng, size)
@@ -130,11 +126,6 @@ class IidSum(MomentProvider):
 
     def label(self) -> str:
         return f"iid({self.base.label()},{self.m})"
-
-
-@lru_cache(maxsize=None)
-def _iid_mgf_cached(provider: IidSum, order: int) -> Series:
-    return provider.base.mgf(order).pow_int(provider.m)
 
 
 @dataclass(frozen=True)

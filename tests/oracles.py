@@ -1,17 +1,18 @@
 """Independent reference computations used to pin expected test values.
 
 Everything here deliberately avoids the library's production code paths:
-classical polynomial families come from their own recurrences, series
-logarithms from the alternating-power composition formula, binomial
-series from the explicit product, and polynomial ring operations from a
-plain map of ``Fraction`` coefficients.  Expected values asserted in the tests
-were computed with these.
+classical polynomial families and the degenerate Bernoulli and Euler
+numbers come from their own recurrences, series logarithms from the
+alternating-power composition formula, binomial series from the explicit
+product, and polynomial ring operations from a plain map of ``Fraction``
+coefficients.  Expected values asserted in the tests were computed with
+these.
 """
 
 from fractions import Fraction
 from math import comb, factorial
 
-from degenpoly import Poly, Series, ONE, ZERO, X, A
+from degenpoly import Poly, Series, ONE, ZERO, X, A, falling_factorial
 
 
 def classical_bernoulli(n_max: int) -> list[Poly]:
@@ -34,6 +35,41 @@ def classical_euler(n_max: int) -> list[Poly]:
         for k in range(m):
             acc = acc + out[k] * comb(m, k)
         out.append(X ** m - acc / 2)
+    return out
+
+
+# The degenerate number sequences are pinned down by the relations
+#     sum_{k<n} C(n,k) * B_k * (1)_{n-k,λ} = [n == 1]      (B_0 = 1)
+#     2*E_n + sum_{k<n} C(n,k) * E_k * (1)_{n-k,λ} = 2*[n == 0]
+# obtained by binomially expanding the shifted sequence and replacing each
+# formal power with the number of that index.  At relation index n the
+# highest number not yet determined is B_{n-1} (its coefficient on the left
+# is n) respectively E_n (coefficient 2), so each relation is solved for
+# that number.
+
+
+def bernoulli_numbers_rec(n_max: int) -> list[Poly]:
+    """Degenerate Bernoulli numbers B_0..B_{n_max} by recurrence, independent of the series path."""
+    falling_one = [falling_factorial(ONE, j) for j in range(n_max + 2)]
+    out: list[Poly] = [ONE]
+    for n in range(1, n_max + 1):
+        m = n + 1
+        acc = ZERO
+        for k in range(n):
+            acc = acc + out[k] * falling_one[m - k] * comb(m, k)
+        out.append(acc / (-m))
+    return out
+
+
+def euler_numbers_rec(n_max: int) -> list[Poly]:
+    """Degenerate Euler numbers E_0..E_{n_max} by recurrence, independent of the series path."""
+    falling_one = [falling_factorial(ONE, j) for j in range(n_max + 1)]
+    out: list[Poly] = [ONE]
+    for n in range(1, n_max + 1):
+        acc = ZERO
+        for k in range(n):
+            acc = acc + out[k] * falling_one[n - k] * comb(n, k)
+        out.append(acc / (-2))
     return out
 
 

@@ -106,6 +106,16 @@ def test_table_sheffer_y_needs_provider(capsys):
     assert "provider" in err
 
 
+def test_table_sheffer_y_pins_a_symbolic_p(capsys):
+    for spec, pinned in (("ber:p", "ber:1/3"), ("iid:ber:p:2", "iid:ber:1/3:2")):
+        code, out, _ = run(capsys, "table", "sheffer-y", "--provider", spec, "--p", "1/3",
+                           "--n", "3", "--format", "json")
+        assert code == 0
+        _, expected, _ = run(capsys, "table", "sheffer-y", "--provider", pinned,
+                             "--n", "3", "--format", "json")
+        assert json.loads(out)["rows"] == json.loads(expected)["rows"]
+
+
 def test_table_bad_rational(capsys):
     code, _, err = run(capsys, "table", "deg-bernoulli", "--n", "2", "--lambda", "nope")
     assert code == 2
@@ -320,6 +330,11 @@ def test_sampling_config_is_read_by_mc_only(monkeypatch, capsys):
          "--format", "json"),
         ("mc", "thm3.7", "--provider", "bogus", "--lambda", "1/2", "--x", "1/3"),
         ("mc", "thm3.1", "--m", "3", "--l", "2", "--lambda", "1/2", "--x", "1/3"),
+        ("table", "sheffer-y", "--provider", "uniform01", "--p", "1/3", "--n", "1",
+         "--format", "json"),
+        ("table", "sheffer-y", "--provider", "ber:1/2", "--p", "1/3"),
+        ("table", "sheffer-y", "--provider", "zero", "--p", "1/3"),
+        ("table", "sheffer-y", "--provider", "iid:uniform01:2", "--p", "1/3"),
     ],
 )
 def test_usage_errors_exit_2(argv, tmp_path, capsys):

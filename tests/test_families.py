@@ -14,10 +14,8 @@ from degenpoly import (
     A,
     B,
     bernoulli_deg,
-    bernoulli_number_rec,
     bernoulli_polynomials,
     euler_deg,
-    euler_number_rec,
     euler_polynomials,
     falling_basis_coefficients,
     falling_factorial,
@@ -83,20 +81,24 @@ def test_bernoulli_polynomial_at_x():
 
 
 def test_recurrence_oracle_values():
-    assert bernoulli_number_rec(0) == ONE
-    assert bernoulli_number_rec(3) == LAM ** 3 / 4 - LAM / 4
-    assert bernoulli_number_rec(5) == LAM / 4 - LAM ** 3 * Fraction(5, 2) + LAM ** 5 * Fraction(9, 4)
-    assert euler_number_rec(2) == LAM / 2
-    assert euler_number_rec(4) == LAM ** 3 * 3 - LAM * Fraction(3, 2)
-    assert euler_number_rec(5) == LAM ** 2 * Fraction(35, 4) - LAM ** 4 * 12 - half
+    bernoulli_rec = oracles.bernoulli_numbers_rec(5)
+    euler_rec = oracles.euler_numbers_rec(5)
+    assert bernoulli_rec[0] == ONE
+    assert bernoulli_rec[3] == LAM ** 3 / 4 - LAM / 4
+    assert bernoulli_rec[5] == LAM / 4 - LAM ** 3 * Fraction(5, 2) + LAM ** 5 * Fraction(9, 4)
+    assert euler_rec[2] == LAM / 2
+    assert euler_rec[4] == LAM ** 3 * 3 - LAM * Fraction(3, 2)
+    assert euler_rec[5] == LAM ** 2 * Fraction(35, 4) - LAM ** 4 * 12 - half
 
 
 def test_series_and_recurrence_paths_agree():
     bern = bernoulli_polynomials(20)
     euler = euler_polynomials(20)
+    bernoulli_rec = oracles.bernoulli_numbers_rec(20)
+    euler_rec = oracles.euler_numbers_rec(20)
     for n in range(21):
-        assert bern[n] == bernoulli_number_rec(n)
-        assert euler[n] == euler_number_rec(n)
+        assert bern[n] == bernoulli_rec[n]
+        assert euler[n] == euler_rec[n]
 
 
 def test_classical_limits():

@@ -1,16 +1,24 @@
+from fractions import Fraction
+
 import pytest
 
 from degenpoly import (
+    Bernoulli,
+    IidSum,
     Poly,
+    Uniform01,
     UnknownIdentity,
     X,
+    Y,
     A,
+    P,
+    expect_polynomial,
     higher_bernoulli,
     registered_ids,
     verify,
     verify_all,
 )
-from degenpoly import identities
+from degenpoly import cli, families, identities, poly, randvar, series
 
 EXPECTED_IDS = [
     "prop2.1-B",
@@ -135,3 +143,35 @@ def test_workspace_is_reused_across_cases():
     assert first.equal and second.equal
     assert len(ws._cache) > cached  # grew, not rebuilt
     assert ws._cache  # shared state retained
+
+
+def _cached_functions(namespace) -> set[str]:
+    return {name for name, value in vars(namespace).items() if hasattr(value, "cache_info")}
+
+
+def test_only_the_family_bases_and_stirling_numbers_are_cached():
+    # the Workspace owns every other cache, so a run leaves nothing behind in the modules
+    verify_all(max_n=4)
+    verify_all(max_n=6)
+    expected = {families: {"bernoulli_base", "euler_base", "stirling_first"}}
+    for module in (poly, series, families, randvar, identities, cli):
+        assert _cached_functions(module) == expected.get(module, set()), module.__name__
+        for value in vars(module).values():
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                assert _cached_functions(value) == set(), value
+
+
+def test_workspace_moment_tables():
+    ws = identities.Workspace(6)
+    providers = (
+        Uniform01(),
+        Bernoulli(P),
+        IidSum(Uniform01(), 3),
+        IidSum(Bernoulli(Fraction(1, 2)), 2),
+    )
+    for provider in providers:
+        moments = ws.moments(provider)
+        assert moments.table == tuple(provider.moment(k) for k in range(ws.order + 1))
+        assert ws.moments(provider) is moments
+        for value in ws.sheffer(provider, X + Y)[::2]:
+            assert expect_polynomial(value, moments) == expect_polynomial(value, provider)
