@@ -1,7 +1,10 @@
 """Exact arithmetic for degenerate Bernoulli, Euler and Sheffer-type polynomial
 families, with a mechanized identity checker and a small CLI."""
 
-from .poly import Poly, UnboundVariable, VAR_NAMES, ZERO, ONE, LAM, X, Y, A, B, P, as_poly
+from .poly import (
+    DEGREE_LIMIT, DegreeLimitExceeded, Poly, UnboundVariable, VAR_NAMES,
+    ZERO, ONE, LAM, X, Y, A, B, P, as_poly,
+)
 from .series import NonUnitConstantTerm, NonzeroConstantTerm, OrderExceeded, Series
 from .families import (
     FamilyId,

@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import Poly, VAR_NAMES, ZERO, X
+from .poly import DegreeLimitExceeded, Poly, VAR_NAMES, ZERO, X
 from .series import OrderExceeded, Series
 from . import families
 from .families import FamilyId
@@ -535,7 +535,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BadParams, identities.UnknownIdentity, UnsamplableProvider, OrderExceeded) as exc:
+    except (BadParams, identities.UnknownIdentity, UnsamplableProvider, OrderExceeded,
+            DegreeLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"run 'degenpoly {args.command} --help' for usage", file=sys.stderr)
         return 2

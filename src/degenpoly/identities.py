@@ -26,10 +26,8 @@ from .randvar import (
     CustomMoments,
     IidSum,
     MomentProvider,
-    ShefferSequence,
     Uniform01,
     expect_polynomial,
-    independent_sum_moments,
 )
 
 
@@ -130,17 +128,29 @@ class Workspace:
             ).egf_coefficients(self.order),
         )
 
+    def mgf(self, provider: MomentProvider) -> Series:
+        """The provider's moment series, built once; an i.i.d. sum raises its base's series."""
+
+        def make():
+            if isinstance(provider, IidSum):
+                return self.mgf(provider.base).pow_int(provider.m)
+            return provider.mgf(self.order)
+
+        return self._get(("mgf", provider), make)
+
     def moments(self, provider: MomentProvider) -> CustomMoments:
-        """The provider's moments 0..order, read off one moment series."""
+        """The provider's moments 0..order, read off its moment series."""
         return self._get(
             ("moments", provider),
-            lambda: CustomMoments(provider.mgf(self.order).egf_coefficients(self.order)),
+            lambda: CustomMoments(self.mgf(provider).egf_coefficients(self.order)),
         )
 
     def sheffer(self, provider: MomentProvider, at: Poly) -> list[Poly]:
+        """The provider's Sheffer family at ``at``: e_λ^at(t) over the moment series."""
+
         def make():
-            seq = self._get(("sheffer-seq", provider), lambda: ShefferSequence(provider, self.order))
-            return seq.polynomials(self.order, at)
+            inverse = self._get(("inverse-mgf", provider), lambda: self.mgf(provider).reciprocal())
+            return (inverse * self.exp_of(at)).egf_coefficients(self.order)
 
         return self._get(("sheffer", provider, at), make)
 
@@ -253,7 +263,7 @@ _BER_P = Bernoulli(P)
 
 def _convolution(left: list[Poly], right: list[Poly]) -> SideFn:
     def side(n: int) -> Poly:
-        return Poly.sum(left[k] * right[n - k] * comb(n, k) for k in range(n + 1))
+        return Poly.dot((comb(n, k), left[k], right[n - k]) for k in range(n + 1))
 
     return side
 
@@ -414,7 +424,7 @@ def _thm32(ws: Workspace) -> list[Instance]:
     pairs = [(_UNIFORM, _BER_HALF), (_BER_P, _UNIFORM), (_UNIFORM, _UNIFORM)]
     instances: list[Instance] = []
     for first, second in pairs:
-        joint = independent_sum_moments(first, second, ws.order)
+        joint = CustomMoments((ws.mgf(first) * ws.mgf(second)).egf_coefficients(ws.order))
         total = ws.sheffer(joint, X + Y)
         rhs = _convolution(ws.sheffer(first, X), ws.sheffer(second, Y))
         instances.append((f"{first.label()}+{second.label()}", total.__getitem__, rhs))

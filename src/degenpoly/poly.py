@@ -1,12 +1,23 @@
 """Exact multivariate polynomial arithmetic over rational coefficients.
 
 Polynomials live in Q[λ, x, y, a, b, p] with a fixed, ordered variable
-registry.  Terms are stored as a map from dense exponent tuples (one slot
-per registry variable) to nonzero integer numerators over one common
-denominator.  The pair is kept reduced (denominator ≥ 1, no common factor
-of the denominator and all numerators), so mathematical equality of
-polynomials coincides with structural equality of the pairs.  Products and
-sums work on the integers and reduce once per result, not once per term.
+registry.  Terms are stored as a map from packed exponent keys to nonzero
+integer numerators over one common denominator.  The pair is kept reduced
+(denominator ≥ 1, no common factor of the denominator and all numerators),
+so mathematical equality of polynomials coincides with structural equality
+of the pairs.
+
+A packed key is one ``int``: a field of ``FIELD_BITS`` bits per registry
+variable, λ in the highest, and the total degree above them all.  The
+product of two monomials is then the sum of their keys, and comparing keys
+as ints is the canonical print order.  Each field keeps its top bit clear as
+a guard, so every exponent stays below ``DEGREE_LIMIT``; a product that
+would reach it raises ``DegreeLimitExceeded``.  Exponent tuples appear only
+at the view boundaries (``terms``, ``sorted_terms`` and the constructor).
+
+All term products go through ``Poly.dot``, which accumulates integer-weighted
+products over the common denominator and reduces once; all term additions go
+through ``Poly.sum``.
 
 The canonical term order used for printing is graded lexicographic over the
 registry order (λ before x before y before a before b before p), highest
@@ -18,8 +29,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import add
+from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 VAR_NAMES: tuple[str, ...] = ("λ", "x", "y", "a", "b", "p")
@@ -29,7 +41,13 @@ _VAR_INDEX = {name: i for i, name in enumerate(VAR_NAMES)}
 # ASCII spellings accepted on input (CLI flags, config files, parsing).
 _VAR_ALIASES = {"lambda": "λ", "lam": "λ"}
 
-_ZERO_EXP = (0,) * NVARS
+# Packed exponent keys: FIELD_BITS bits per variable, the top one a guard.
+FIELD_BITS = 17
+DEGREE_LIMIT = 1 << (FIELD_BITS - 1)  # every exponent is below this
+_FIELD_MASK = DEGREE_LIMIT - 1
+_SHIFTS = tuple(FIELD_BITS * (NVARS - 1 - i) for i in range(NVARS))  # λ highest
+_DEG_SHIFT = FIELD_BITS * NVARS  # the total degree sits above every field
+_GUARDS = sum(DEGREE_LIMIT << s for s in _SHIFTS)
 
 Scalar = Union[int, Fraction]
 PolyLike = Union["Poly", int, Fraction]
@@ -37,6 +55,10 @@ PolyLike = Union["Poly", int, Fraction]
 
 class UnboundVariable(Exception):
     """A variable occurring in a polynomial was not assigned a value."""
+
+
+class DegreeLimitExceeded(ValueError):
+    """An exponent would reach ``DEGREE_LIMIT``, past what a packed key holds."""
 
 
 def canonical_var(name: str) -> str:
@@ -47,24 +69,45 @@ def canonical_var(name: str) -> str:
     return name
 
 
+def _pack(exps: tuple[int, ...]) -> int:
+    """The packed key of an exponent tuple (one entry per registry variable)."""
+    if len(exps) != NVARS:
+        raise ValueError(f"an exponent tuple needs {NVARS} entries, got {exps!r}")
+    key = 0
+    for e in exps:
+        if e < 0:
+            raise ValueError(f"negative exponent in {exps!r}")
+        if e >= DEGREE_LIMIT:
+            raise DegreeLimitExceeded(f"exponent {e} reaches the degree limit {DEGREE_LIMIT}")
+        key = key << FIELD_BITS | e
+    return key | sum(exps) << _DEG_SHIFT
+
+
+def _unpack(key: int) -> tuple[int, ...]:
+    return tuple([key >> s & _FIELD_MASK for s in _SHIFTS])
+
+
 class _Terms(Mapping):
     """Read-only view of a polynomial's terms as exact ``Fraction`` coefficients.
 
-    Length and iteration read the stored numerators; a ``Fraction`` is built
+    Keys are exponent tuples, unpacked on iteration; a ``Fraction`` is built
     only when a coefficient is read.
     """
 
     __slots__ = ("_nums", "_den")
 
-    def __init__(self, nums: dict[tuple[int, ...], int], den: int):
+    def __init__(self, nums: dict[int, int], den: int):
         self._nums = nums
         self._den = den
 
     def __getitem__(self, exps: tuple[int, ...]) -> Fraction:
-        return Fraction(self._nums[exps], self._den)
+        try:
+            return Fraction(self._nums[_pack(exps)], self._den)
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(exps) from None
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self._nums)
+        return map(_unpack, self._nums)
 
     def __len__(self) -> int:
         return len(self._nums)
@@ -82,26 +125,26 @@ class Poly:
     __slots__ = ("_nums", "_den", "_hash")
 
     def __init__(self, terms: Mapping[tuple[int, ...], Scalar] | None = None):
-        coeffs = {exps: Fraction(c) for exps, c in terms.items()} if terms else {}
+        coeffs = {_pack(exps): Fraction(c) for exps, c in terms.items()} if terms else {}
         den = lcm(*(c.denominator for c in coeffs.values()))
-        nums = {exps: c.numerator * (den // c.denominator) for exps, c in coeffs.items()}
+        nums = {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}
         made = Poly._make(nums, den)
         self._nums, self._den, self._hash = made._nums, made._den, None
 
     @classmethod
-    def _make(cls, nums: dict[tuple[int, ...], int], den: int) -> "Poly":
+    def _make(cls, nums: dict[int, int], den: int) -> "Poly":
         """Trusted constructor: drop zero numerators and divide out the common factor.
 
         ``den`` must be positive; ``nums`` is taken over, not copied.
         """
         if 0 in nums.values():
-            nums = {exps: c for exps, c in nums.items() if c}
+            nums = {key: c for key, c in nums.items() if c}
         if not nums:
             den = 1
         elif den != 1:
             g = gcd(den, *nums.values())
             if g != 1:
-                nums = {exps: c // g for exps, c in nums.items()}
+                nums = {key: c // g for key, c in nums.items()}
                 den //= g
         self = object.__new__(cls)
         self._nums = nums
@@ -112,13 +155,12 @@ class Poly:
     @classmethod
     def const(cls, value: Scalar) -> "Poly":
         value = Fraction(value)
-        return cls._make({_ZERO_EXP: value.numerator}, value.denominator)
+        return cls._make({0: value.numerator}, value.denominator)
 
     @classmethod
     def var(cls, name: str) -> "Poly":
-        exps = [0] * NVARS
-        exps[_VAR_INDEX[canonical_var(name)]] = 1
-        return cls._make({tuple(exps): 1}, 1)
+        shift = _SHIFTS[_VAR_INDEX[canonical_var(name)]]
+        return cls._make({1 << shift | 1 << _DEG_SHIFT: 1}, 1)
 
     # -- basic structure ---------------------------------------------------
 
@@ -130,7 +172,7 @@ class Poly:
         return bool(self._nums)
 
     def is_constant(self) -> bool:
-        return not self._nums or self._nums.keys() == {_ZERO_EXP}
+        return not self._nums or self._nums.keys() == {0}
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (raises if non-constant)."""
@@ -138,35 +180,29 @@ class Poly:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return Fraction(self._nums[_ZERO_EXP], self._den)
+        return Fraction(self._nums[0], self._den)
 
     def variables(self) -> set[str]:
-        used: set[str] = set()
-        for exps in self._nums:
-            for i, e in enumerate(exps):
-                if e:
-                    used.add(VAR_NAMES[i])
-        return used
+        used = reduce(or_, self._nums, 0)
+        return {name for name, s in zip(VAR_NAMES, _SHIFTS) if used >> s & _FIELD_MASK}
 
     def degree(self, var: str | None = None) -> int:
         """Total degree, or the degree in one variable.  Zero poly has degree 0."""
         if not self._nums:
             return 0
         if var is None:
-            return max(sum(exps) for exps in self._nums)
-        i = _VAR_INDEX[canonical_var(var)]
-        return max(exps[i] for exps in self._nums)
+            return max(self._nums) >> _DEG_SHIFT
+        s = _SHIFTS[_VAR_INDEX[canonical_var(var)]]
+        return max(key >> s & _FIELD_MASK for key in self._nums)
 
     def coefficient_of(self, var: str, power: int) -> Poly:
         """Collect the terms with the given power of ``var``, dropping that factor."""
-        i = _VAR_INDEX[canonical_var(var)]
-        out: dict[tuple[int, ...], int] = {}
-        for exps, num in self._nums.items():
-            if exps[i] == power:
-                reduced = list(exps)
-                reduced[i] = 0
-                out[tuple(reduced)] = num
-        return Poly._make(out, self._den)
+        s = _SHIFTS[_VAR_INDEX[canonical_var(var)]]
+        drop = power << s | power << _DEG_SHIFT
+        return Poly._make(
+            {key - drop: num for key, num in self._nums.items() if key >> s & _FIELD_MASK == power},
+            self._den,
+        )
 
     # -- ring operations ---------------------------------------------------
 
@@ -183,12 +219,12 @@ class Poly:
         """Add over the common denominator and reduce once; all term addition is here."""
         polys = list(polys)
         den = lcm(*(p._den for p in polys))
-        out: dict[tuple[int, ...], int] = {}
+        out: dict[int, int] = {}
         get = out.get
         for p in polys:
             scale = den // p._den
-            for exps, num in p._nums.items():
-                out[exps] = get(exps, 0) + num * scale
+            for key, num in p._nums.items():
+                out[key] = get(key, 0) + num * scale
         return cls._make(out, den)
 
     def __add__(self, other) -> "Poly":
@@ -200,7 +236,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._make({exps: -num for exps, num in self._nums.items()}, self._den)
+        return Poly._make({key: -num for key, num in self._nums.items()}, self._den)
 
     def __sub__(self, other) -> "Poly":
         other = self._coerce(other)
@@ -214,18 +250,38 @@ class Poly:
             return NotImplemented
         return other + (-self)
 
+    @classmethod
+    def dot(cls, triples: Iterable[tuple[int, "Poly", "Poly"]]) -> "Poly":
+        """The sum of ``w * f * g`` over integer-weighted pairs; all term products are here.
+
+        Every product is accumulated over the common denominator of the
+        pairs, and the result is reduced once.  A product key is the sum of
+        its factors' keys; one that sets a guard bit raises
+        ``DegreeLimitExceeded``.
+        """
+        triples = [t for t in triples if t[0]]
+        den = lcm(*(f._den * g._den for _, f, g in triples))
+        out: dict[int, int] = {}
+        get = out.get
+        for w, f, g in triples:
+            scale = w * (den // (f._den * g._den))
+            if len(f._nums) > len(g._nums):
+                f, g = g, f
+            g_items = g._nums.items()
+            for ka, na in f._nums.items():
+                na *= scale
+                for kb, nb in g_items:
+                    key = ka + kb
+                    out[key] = get(key, 0) + na * nb
+        if reduce(or_, out, 0) & _GUARDS:
+            raise DegreeLimitExceeded(f"a product reaches the degree limit {DEGREE_LIMIT}")
+        return cls._make(out, den)
+
     def __mul__(self, other) -> "Poly":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[tuple[int, ...], int] = {}
-        get = out.get
-        b_items = other._nums.items()
-        for ea, na in self._nums.items():
-            for eb, nb in b_items:
-                key = tuple(map(add, ea, eb))
-                out[key] = get(key, 0) + na * nb
-        return Poly._make(out, self._den * other._den)
+        return Poly.dot(((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -267,33 +323,37 @@ class Poly:
         Unassigned variables are left in place.  Substitution is a ring
         homomorphism: ``(p*q).substitute(s) == p.substitute(s) * q.substitute(s)``.
         """
-        amap: dict[int, Poly] = {}
+        amap: dict[int, Poly] = {}  # field shift -> replacement
         for name, value in assignments.items():
             replacement = self._coerce(value)
             if replacement is None:
                 raise TypeError(f"cannot substitute value of type {type(value)!r}")
-            amap[_VAR_INDEX[canonical_var(name)]] = replacement
-        power_cache: dict[tuple[int, int], Poly] = {}
-
-        def factor(i: int, e: int) -> Poly:
-            key = (i, e)
-            got = power_cache.get(key)
-            if got is None:
-                base = amap.get(i)
-                if base is None:
-                    base = Poly.var(VAR_NAMES[i])
-                got = base ** e
-                power_cache[key] = got
-            return got
-
-        terms = []
-        for exps, coeff in self.terms.items():
-            term = Poly.const(coeff)
-            for i, e in enumerate(exps):
+            amap[_SHIFTS[_VAR_INDEX[canonical_var(name)]]] = replacement
+        # group the terms by their exponents in the substituted variables
+        mask = sum(_FIELD_MASK << s for s in amap)
+        groups: dict[int, dict[int, int]] = {}
+        for key, num in self._nums.items():
+            part = key & mask
+            group = groups.get(part)
+            if group is None:
+                group = groups[part] = {}
+            group[key] = num
+        powers: dict[tuple[int, int], Poly] = {}
+        triples = []
+        for part, nums in groups.items():
+            factor, degree = ONE, 0
+            for s, base in amap.items():
+                e = part >> s & _FIELD_MASK
                 if e:
-                    term = term * factor(i, e)
-            terms.append(term)
-        return Poly.sum(terms)
+                    power = powers.get((s, e))
+                    if power is None:
+                        power = powers[(s, e)] = base ** e
+                    factor = factor * power
+                    degree += e
+            drop = part | degree << _DEG_SHIFT
+            rest = Poly._make({key - drop: num for key, num in nums.items()}, self._den)
+            triples.append((1, rest, factor))
+        return Poly.dot(triples)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a fully specified point.
@@ -301,25 +361,28 @@ class Poly:
         Raises ``UnboundVariable`` if any variable of the polynomial is
         missing from ``point``.
         """
-        values: dict[int, Fraction] = {}
-        for name, v in point.items():
-            values[_VAR_INDEX[canonical_var(name)]] = Fraction(v)
+        values = {canonical_var(name): Fraction(v) for name, v in point.items()}
+        used = self.variables()
+        for name in VAR_NAMES:
+            if name in used and name not in values:
+                raise UnboundVariable(f"variable {name!r} has no assigned value")
+        factors = [(s, values[name]) for name, s in zip(VAR_NAMES, _SHIFTS) if name in used]
         total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for i, e in enumerate(exps):
+        for key, num in self._nums.items():
+            term = Fraction(num)
+            for s, value in factors:
+                e = key >> s & _FIELD_MASK
                 if e:
-                    if i not in values:
-                        raise UnboundVariable(f"variable {VAR_NAMES[i]!r} has no assigned value")
-                    term *= values[i] ** e
+                    term *= value ** e
             total += term
-        return total
+        return total / self._den
 
     # -- canonical text form -------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        """Terms in descending graded-lexicographic order."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        """Terms in descending graded-lexicographic order: the packed keys, descending."""
+        nums, den = self._nums, self._den
+        return [(_unpack(key), Fraction(nums[key], den)) for key in sorted(nums, reverse=True)]
 
     @staticmethod
     def _monomial_str(exps: tuple[int, ...]) -> str:

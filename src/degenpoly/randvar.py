@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .poly import Poly, PolyLike, ZERO, ONE, as_poly
 from .series import OrderExceeded, Series
@@ -22,6 +20,9 @@ from .families import (
     falling_basis_coefficients,
     falling_factorial,
 )
+
+if TYPE_CHECKING:  # numpy is imported by the sampling path only
+    import numpy as np
 
 
 class UnsamplableProvider(Exception):
@@ -94,7 +95,7 @@ class Bernoulli(MomentProvider):
         pv = self.p.constant_value()
         if pv < 0 or pv > 1:
             raise UnsamplableProvider(f"Bernoulli probability {pv} is outside [0, 1]")
-        return (rng.random(size) < float(pv)).astype(np.float64)
+        return (rng.random(size) < float(pv)).astype(float)
 
     def label(self) -> str:
         return f"ber({self.p})"
@@ -194,7 +195,7 @@ class ShefferSequence:
 def expect_falling_basis(coeffs: Sequence[PolyLike], provider: MomentProvider) -> Poly:
     """Apply E to sum_k coeffs[k] * (Y)_{k,λ}: linearity gives sum coeffs[k]*moment(k)."""
     coeffs = (as_poly(c) for c in coeffs)
-    return Poly.sum(c * provider.moment(k) for k, c in enumerate(coeffs) if c)
+    return Poly.dot((1, c, provider.moment(k)) for k, c in enumerate(coeffs) if c)
 
 
 def expect_polynomial(p: Poly, provider: MomentProvider, var: str = "y") -> Poly:
@@ -228,6 +229,8 @@ def mc_estimate(
     ``point`` pins every other variable to a rational; the result carries
     the standard error of the mean.
     """
+    import numpy as np
+
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)

@@ -104,7 +104,7 @@ class Series:
         if isinstance(other, Series):
             f, g = self._coeffs, other._coeffs
             return Series(
-                Poly.sum(f[i] * g[k - i] for i in range(k + 1) if f[i] and g[k - i])
+                Poly.dot((1, f[i], g[k - i]) for i in range(k + 1) if f[i] and g[k - i])
                 for k in range(min(self.order, other.order) + 1)
             )
         if isinstance(other, (int, Fraction, Poly)):
@@ -141,7 +141,7 @@ class Series:
         f = self._coeffs
         out = [Poly.const(inv0)]
         for n in range(1, self.order + 1):
-            out.append(Poly.sum(f[k] * out[n - k] for k in range(1, n + 1) if f[k]) * (-inv0))
+            out.append(Poly.dot((1, f[k], out[n - k]) for k in range(1, n + 1) if f[k]) * (-inv0))
         return Series(out)
 
     def log(self) -> "Series":
@@ -155,7 +155,7 @@ class Series:
         f = self._coeffs
         out = [ZERO]
         for n in range(1, self.order + 1):
-            acc = Poly.sum(out[k] * f[n - k] * k for k in range(1, n) if out[k] and f[n - k])
+            acc = Poly.dot((k, out[k], f[n - k]) for k in range(1, n) if out[k] and f[n - k])
             out.append(f[n] - acc / n)
         return Series(out)
 
@@ -166,7 +166,7 @@ class Series:
         u = self._coeffs
         out = [ONE]
         for n in range(1, self.order + 1):
-            acc = Poly.sum(u[k] * out[n - k] * k for k in range(1, n + 1) if u[k] and out[n - k])
+            acc = Poly.dot((k, u[k], out[n - k]) for k in range(1, n + 1) if u[k] and out[n - k])
             out.append(acc / n)
         return Series(out)
 

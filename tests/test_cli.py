@@ -1,12 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from degenpoly import Poly, bernoulli_polynomials, euler_polynomials, sheffer_type, X
+from degenpoly import DEGREE_LIMIT, Poly, bernoulli_polynomials, euler_polynomials, sheffer_type, X
 from degenpoly.cli import FORMATS, main, parse_provider, poly_latex, BadParams, _FAMILY_NAMES
 from degenpoly.randvar import Bernoulli, IidSum, Uniform01, Zero
 from degenpoly import LAM
@@ -335,6 +339,11 @@ def test_sampling_config_is_read_by_mc_only(monkeypatch, capsys):
         ("table", "sheffer-y", "--provider", "ber:1/2", "--p", "1/3"),
         ("table", "sheffer-y", "--provider", "zero", "--p", "1/3"),
         ("table", "sheffer-y", "--provider", "iid:uniform01:2", "--p", "1/3"),
+        ("table", "deg-bernoulli", "--n", "1", "--x", f"x^{DEGREE_LIMIT}"),
+        ("table", "higher-bernoulli", "--n", "1", "--a", f"a^{DEGREE_LIMIT}"),
+        # each value parses, but a product of the table passes the degree limit
+        ("table", "falling-lambda", "--n", "3", "--x", f"x^{DEGREE_LIMIT // 2}"),
+        ("table", "higher-euler", "--n", "2", "--b", f"b^{DEGREE_LIMIT - 1}"),
     ],
 )
 def test_usage_errors_exit_2(argv, tmp_path, capsys):
@@ -444,3 +453,24 @@ def test_byte_determinism_across_formats(capsys):
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_numpy_is_imported_by_mc_only():
+    # a fresh interpreter, because pytest or an earlier test may have imported numpy already
+    script = """
+import contextlib, io, sys
+import degenpoly.cli
+loaded = ["numpy" in sys.modules]
+for argv in (["table", "deg-bernoulli", "--n", "3"], ["verify", "thm3.4", "--n", "2"],
+             ["mc", "thm3.1", "--lambda", "1/8", "--x", "1/4", "--n", "2", "--samples", "2000"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        loaded.append((degenpoly.cli.main(argv), "numpy" in sys.modules))
+print(loaded)
+"""
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[False, (0, False), (0, False), (0, True)]"

@@ -6,6 +6,7 @@ from degenpoly import (
     Bernoulli,
     IidSum,
     Poly,
+    ShefferSequence,
     Uniform01,
     UnknownIdentity,
     X,
@@ -175,3 +176,30 @@ def test_workspace_moment_tables():
         assert ws.moments(provider) is moments
         for value in ws.sheffer(provider, X + Y)[::2]:
             assert expect_polynomial(value, moments) == expect_polynomial(value, provider)
+
+
+def test_workspace_builds_one_moment_series_per_provider(monkeypatch):
+    asked: dict = {}
+    for cls in (randvar.MomentProvider, randvar.Uniform01, randvar.IidSum):
+        build = vars(cls)["mgf"]
+
+        def spy(self, order, build=build):
+            asked[self] = asked.get(self, 0) + 1
+            return build(self, order)
+
+        monkeypatch.setattr(cls, "mgf", spy)
+    ids = ["thm3.1", "thm3.2", "thm3.6", "thm3.7"]
+    reports = verify_all(ids, max_n=5)
+    assert [r.id for r in reports] == ids and all(r.equal for r in reports)
+    # an i.i.d. sum raises its base's series: only the bases and thm3.2's joint tables are asked
+    assert asked and max(asked.values()) == 1, asked
+    assert not any(isinstance(provider, IidSum) for provider in asked)
+
+
+def test_workspace_sheffer_matches_the_sheffer_sequence():
+    ws = identities.Workspace(6)
+    for provider in (Uniform01(), Bernoulli(P), IidSum(Bernoulli(Fraction(1, 2)), 3)):
+        assert ws.mgf(provider) == provider.mgf(ws.order)
+        assert ws.mgf(provider) is ws.mgf(provider)
+        expected = ShefferSequence(provider, ws.order).polynomials(ws.order, X + Y)
+        assert ws.sheffer(provider, X + Y) == expected

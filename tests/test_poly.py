@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenpoly import Poly, UnboundVariable, VAR_NAMES, ZERO, ONE, LAM, X, Y, P
+from degenpoly import (
+    DEGREE_LIMIT, DegreeLimitExceeded, Poly, UnboundVariable, VAR_NAMES, ZERO, ONE, LAM, X, Y, P,
+)
 from degenpoly.poly import as_poly
 
 from oracles import terms_add, terms_mul, terms_neg
@@ -169,6 +171,92 @@ def test_kernel_matches_fraction_reference(a, b, k):
     assert_canonical(Poly(a))
     assert (ZERO._nums, ZERO._den) == ({}, 1)
     assert ((p - p)._nums, (p - p)._den) == ({}, 1)
+
+
+weighted_pairs = st.lists(
+    st.tuples(st.integers(-6, 6), term_maps(("λ", "x", "y")), term_maps(("λ", "x", "y"))),
+    max_size=4,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted_pairs)
+def test_dot_matches_weighted_fraction_reference(pairs):
+    # weights include 0, and term_maps draws zero polynomials and all-zero coefficients
+    triples = [(w, Poly(a), Poly(b)) for w, a, b in pairs]
+    want: dict = {}
+    for w, a, b in pairs:
+        ref_a = {exps: Fraction(c) for exps, c in a.items() if c}
+        ref_b = {exps: Fraction(c) for exps, c in b.items() if c}
+        scaled = {exps: c * w for exps, c in terms_mul(ref_a, ref_b).items()}
+        want = terms_add(want, scaled)
+    got = Poly.dot(triples)
+    assert dict(got.terms) == want
+    assert_canonical(got)
+    assert Poly.dot(iter(triples)) == got
+    for _, p, q in triples:
+        single = Poly.dot([(1, p, q)])
+        assert single == p * q
+        assert hash(single) == hash(p * q)
+
+
+def test_dot_of_nothing_is_zero():
+    for empty in (Poly.dot([]), Poly.dot([(0, X, Y)]), Poly.dot([(3, ZERO, X)])):
+        assert empty == ZERO
+        assert (empty._nums, empty._den) == ({}, 1)
+
+
+def _graded_key(exps: tuple[int, ...]) -> tuple:
+    return (sum(exps), exps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_maps(("λ", "x", "y", "p"), max_terms=6, max_exp=4))
+def test_views_match_the_tuple_terms(terms):
+    p = Poly(terms)
+    ref = {exps: Fraction(c) for exps, c in terms.items() if c}
+    assert p.sorted_terms() == sorted(ref.items(), key=lambda kv: _graded_key(kv[0]), reverse=True)
+    assert p.degree() == max((sum(exps) for exps in ref), default=0)
+    assert p.variables() == {VAR_NAMES[i] for exps in ref for i, e in enumerate(exps) if e}
+    for i, name in enumerate(VAR_NAMES):
+        assert p.degree(name) == max((exps[i] for exps in ref), default=0)
+        for power in range(-1, 6):
+            want = {
+                exps[:i] + (0,) + exps[i + 1:]: c for exps, c in ref.items() if exps[i] == power
+            }
+            assert dict(p.coefficient_of(name, power).terms) == want
+
+
+def test_terms_view_keeps_mapping_semantics():
+    p = X * 2 + 1
+    one_x = (0, 1, 0, 0, 0, 0)
+    assert p.terms[one_x] == 2 and one_x in p.terms
+    for missing in ((0, 2, 0, 0, 0, 0), (0, DEGREE_LIMIT, 0, 0, 0, 0), (0, -1, 0, 0, 0, 0),
+                    (0, 1), "x"):
+        assert missing not in p.terms
+        with pytest.raises(KeyError):
+            p.terms[missing]
+
+
+def test_degree_limit():
+    top = DEGREE_LIMIT - 1
+    for var in (LAM, X, P):
+        assert (var ** top).degree() == top
+        with pytest.raises(DegreeLimitExceeded):
+            var ** DEGREE_LIMIT
+    with pytest.raises(DegreeLimitExceeded):
+        X ** top * (X + 1)
+    with pytest.raises(DegreeLimitExceeded):
+        Poly.dot([(1, X ** 40000, X ** 30000)])
+    assert (X ** top * LAM ** top).degree() == 2 * top  # the limit is per variable
+    assert issubclass(DegreeLimitExceeded, ValueError)
+    with pytest.raises(DegreeLimitExceeded):
+        Poly({(0, DEGREE_LIMIT, 0, 0, 0, 0): 1})
+    with pytest.raises(ValueError):
+        Poly({(0, -1, 0, 0, 0, 0): 1})
+    with pytest.raises(DegreeLimitExceeded):
+        Poly.parse(f"x^{DEGREE_LIMIT}")
+    assert Poly({(0, top, 0, 0, 0, 0): 1}) == X ** top
 
 
 @settings(max_examples=60, deadline=None)
