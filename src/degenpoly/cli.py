@@ -308,18 +308,24 @@ def _family_rows(args, config) -> tuple[list[dict], dict]:
             else:
                 pins[var] = _parse_poly(raw, var)
 
+    # only json and latex print the LaTeX column
+    with_latex = config["format"] in ("json", "latex")
     rows: list[dict] = []
     if family == FamilyId.STIRLING1.value:
         for n in range(n_max + 1):
             for k in range(n + 1):
                 value = families.stirling_first(n, k)
-                rows.append({"n": n, "k": k, "value": str(value), "latex": _latex_fraction(value)})
+                rows.append({"n": n, "k": k, "value": str(value)})
+                if with_latex:
+                    rows[-1]["latex"] = _latex_fraction(value)
     else:
         # coefficient n of a series depends only on coefficients <= n: order n_max suffices
         series = _family_series(args, at, n_max, meta_params)
         for n, value in enumerate(series.egf_coefficients(n_max)):
             value = value.substitute(pins) if pins else value
-            rows.append({"n": n, "value": str(value), "latex": poly_latex(value)})
+            rows.append({"n": n, "value": str(value)})
+            if with_latex:
+                rows[-1]["latex"] = poly_latex(value)
     meta = {"command": "table", "family": family, "n_max": n_max, "params": meta_params}
     return rows, meta
 

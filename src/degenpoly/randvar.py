@@ -9,9 +9,10 @@ the exact layer never touches floats.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .poly import Poly, PolyLike, ZERO, ONE, as_poly
 from .series import OrderExceeded, Series
@@ -35,7 +36,13 @@ class MomentProvider:
 
     ``moment(0)`` is 1 for every provider, so the moment series always has
     an invertible constant term.
+
+    A samplable provider reads ``columns`` uniform streams, one generator
+    each, and ``sample_array(streams, size)`` draws ``size`` values from
+    each of them.
     """
+
+    columns = 1
 
     def moment(self, n: int) -> Poly:
         raise NotImplementedError
@@ -44,7 +51,7 @@ class MomentProvider:
         """The moment series: exponential coefficient n is moment(n)."""
         return Series.from_egf(self.moment, order)
 
-    def sample_array(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample_array(self, streams: Sequence[np.random.Generator], size: int) -> np.ndarray:
         raise UnsamplableProvider(f"{self.label()} cannot be sampled")
 
     def label(self) -> str:
@@ -62,8 +69,8 @@ class Uniform01(MomentProvider):
         # coefficient n of e_λ^y(t) is (y)_{n,λ}/n!, and its integral over [0, 1] is moment(n)/n!
         return degenerate_exp(Poly.var("y"), order).map_coefficients(_integrate_unit_interval)
 
-    def sample_array(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.random(size)
+    def sample_array(self, streams: Sequence[np.random.Generator], size: int) -> np.ndarray:
+        return streams[0].random(size)
 
     def label(self) -> str:
         return "uniform01"
@@ -89,13 +96,13 @@ class Bernoulli(MomentProvider):
             return ONE
         return self.p * falling_factorial(ONE, n)
 
-    def sample_array(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample_array(self, streams: Sequence[np.random.Generator], size: int) -> np.ndarray:
         if not self.p.is_constant():
             raise UnsamplableProvider("Bernoulli with a symbolic probability cannot be sampled")
         pv = self.p.constant_value()
         if pv < 0 or pv > 1:
             raise UnsamplableProvider(f"Bernoulli probability {pv} is outside [0, 1]")
-        return (rng.random(size) < float(pv)).astype(float)
+        return (streams[0].random(size) < float(pv)).astype(float)
 
     def label(self) -> str:
         return f"ber({self.p})"
@@ -119,10 +126,16 @@ class IidSum(MomentProvider):
         # independence: the moment series of the sum is the m-th power
         return self.base.mgf(order).pow_int(self.m)
 
-    def sample_array(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        total = self.base.sample_array(rng, size)
-        for _ in range(self.m - 1):
-            total += self.base.sample_array(rng, size)
+    @property
+    def columns(self) -> int:
+        return self.m * self.base.columns
+
+    def sample_array(self, streams: Sequence[np.random.Generator], size: int) -> np.ndarray:
+        # copy j reads columns [j*w, (j+1)*w); the copies are added in order
+        w = self.base.columns
+        total = self.base.sample_array(streams[:w], size)
+        for j in range(1, self.m):
+            total += self.base.sample_array(streams[j * w:(j + 1) * w], size)
         return total
 
     def label(self) -> str:
@@ -205,8 +218,15 @@ def expect_polynomial(p: Poly, provider: MomentProvider, var: str = "y") -> Poly
 
 # -- seeded Monte-Carlo cross-check -------------------------------------------------
 #
-# The PRNG is PCG64 as exposed by numpy.random.default_rng; estimates are
-# bit-reproducible for a fixed (seed, samples) pair.
+# The PRNG is PCG64 as exposed by numpy.random.default_rng.  Sampling runs in
+# chunks of CHUNK samples, so memory is bounded by the chunk, not by the
+# sample count.  Column c of the provider reads its own PCG64(seed) advanced
+# by c * samples draws: that is the stream position column c had when one
+# generator drew every column's full array in turn, so each sample's value
+# equals that copy-major layout bit for bit.  Estimates are bit-reproducible
+# for a fixed (seed, samples) pair.
+
+CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -214,6 +234,18 @@ class McEstimate:
     estimate: float
     std_error: float
     samples: int
+
+
+def sample_chunks(provider: MomentProvider, samples: int, seed: int) -> Iterator[np.ndarray]:
+    """The provider's ``samples`` draws, in order, as arrays of at most CHUNK values."""
+    import numpy as np
+
+    streams = [
+        np.random.Generator(np.random.PCG64(seed).advance(c * samples))
+        for c in range(provider.columns)
+    ]
+    for start in range(0, samples, CHUNK):
+        yield provider.sample_array(streams, min(CHUNK, samples - start))
 
 
 def mc_estimate(
@@ -227,14 +259,15 @@ def mc_estimate(
     """Sample mean of ``target`` with ``sample_var`` drawn from the provider.
 
     ``point`` pins every other variable to a rational; the result carries
-    the standard error of the mean.
+    the standard error of the mean.  Each chunk's mean and centred sum of
+    squares are merged pairwise (Chan, Golub & LeVeque, 1979).
     """
     import numpy as np
 
     if samples < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    draws = provider.sample_array(rng, samples)
+    chunks = sample_chunks(provider, samples, seed)
+    first = next(chunks)  # an unsamplable provider fails here, before the target is read
     pinned = target.substitute({name: Fraction(v) for name, v in point.items()})
     extra = pinned.variables() - {sample_var}
     if extra:
@@ -244,10 +277,17 @@ def mc_estimate(
         float(pinned.coefficient_of(sample_var, k).constant_value())
         for k in range(degree, -1, -1)
     ]
-    values = np.polyval(coeffs, draws)
-    estimate = float(np.mean(values))
-    if samples > 1:
-        std_error = float(np.std(values, ddof=1) / np.sqrt(samples))
-    else:
-        std_error = 0.0
-    return McEstimate(estimate=estimate, std_error=std_error, samples=samples)
+    count, mean, m2 = 0, 0.0, 0.0
+    for draws in itertools.chain((first,), chunks):
+        values = np.polyval(coeffs, draws)
+        size = len(values)
+        chunk_mean = float(values.mean())
+        values -= chunk_mean
+        chunk_m2 = float(np.square(values, out=values).sum())
+        total = count + size
+        delta = chunk_mean - mean
+        mean += delta * (size / total)
+        m2 += chunk_m2 + delta * delta * (count * size / total)
+        count = total
+    std_error = float(np.sqrt(m2 / (samples - 1)) / np.sqrt(samples)) if samples > 1 else 0.0
+    return McEstimate(estimate=mean, std_error=std_error, samples=samples)

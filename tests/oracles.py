@@ -4,15 +4,17 @@ Everything here deliberately avoids the library's production code paths:
 classical polynomial families and the degenerate Bernoulli and Euler
 numbers come from their own recurrences, series logarithms from the
 alternating-power composition formula, binomial series from the explicit
-product, and polynomial ring operations from a plain map of ``Fraction``
-coefficients.  Expected values asserted in the tests were computed with
-these.
+product, polynomial ring operations from a plain map of ``Fraction``
+coefficients, and Monte-Carlo draws from one generator in copy-major
+order.  Expected values asserted in the tests were computed with these.
 """
 
 from fractions import Fraction
 from math import comb, factorial
 
-from degenpoly import Poly, Series, ONE, ZERO, X, A, falling_factorial
+from degenpoly import (
+    Bernoulli, IidSum, Poly, Series, Uniform01, ONE, ZERO, X, A, falling_factorial,
+)
 
 
 def classical_bernoulli(n_max: int) -> list[Poly]:
@@ -124,3 +126,18 @@ def binomial_coefficient_poly(n: int) -> Poly:
     for k in range(n):
         prod = prod * (A - k)
     return prod / factorial(n)
+
+
+def copy_major_draws(provider, rng, size: int):
+    """Draws of a samplable provider in the unchunked layout: one generator
+    fills the full array of each copy in turn, and the copies are added in order."""
+    if isinstance(provider, IidSum):
+        total = copy_major_draws(provider.base, rng, size)
+        for _ in range(provider.m - 1):
+            total += copy_major_draws(provider.base, rng, size)
+        return total
+    uniform = rng.random(size)
+    if isinstance(provider, Bernoulli):
+        return (uniform < float(provider.p.constant_value())).astype(float)
+    assert isinstance(provider, Uniform01)
+    return uniform

@@ -474,3 +474,25 @@ print(loaded)
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[False, (0, False), (0, False), (0, True)]"
+
+
+def test_mc_peak_memory_is_bounded_by_the_chunk():
+    # the child reads its own high-water mark: ru_maxrss would carry the parent's across exec
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc/self/status")
+    script = """
+import contextlib, io
+import degenpoly.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = degenpoly.cli.main(["mc", "thm3.7", "--m", "3", "--l", "2", "--n", "4", "--lambda", "1/8",
+                               "--x", "1/4", "--samples", "10000000"])
+with open("/proc/self/status") as status:
+    kib = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(code, kib / 1024)
+"""
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    code, peak_mb = done.stdout.split()
+    assert code == "0"
+    assert float(peak_mb) < 100

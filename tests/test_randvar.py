@@ -28,6 +28,8 @@ from degenpoly import (
     mc_estimate,
 )
 from degenpoly.families import bernoulli_base, degenerate_exp
+from degenpoly.randvar import CHUNK, sample_chunks
+from oracles import copy_major_draws
 
 half = Fraction(1, 2)
 
@@ -162,15 +164,33 @@ def test_volkenborn_series_closed_form():
 
 
 def test_unsamplable_providers():
-    rngless = pytest.importorskip("numpy").random.default_rng(0)
+    streams = [pytest.importorskip("numpy").random.default_rng(0)]
     with pytest.raises(UnsamplableProvider):
-        Zero().sample_array(rngless, 3)
+        Zero().sample_array(streams, 3)
     with pytest.raises(UnsamplableProvider):
-        CustomMoments([ONE]).sample_array(rngless, 3)
+        CustomMoments([ONE]).sample_array(streams, 3)
     with pytest.raises(UnsamplableProvider):
-        Bernoulli(P).sample_array(rngless, 3)
+        Bernoulli(P).sample_array(streams, 3)
     with pytest.raises(UnsamplableProvider):
-        Bernoulli(Fraction(3, 2)).sample_array(rngless, 3)
+        Bernoulli(Fraction(3, 2)).sample_array(streams, 3)
+
+
+_LAYOUT_PROVIDERS = [
+    Uniform01(),
+    Bernoulli(Fraction(1, 3)),
+    IidSum(Uniform01(), 3),
+    IidSum(IidSum(Bernoulli(half), 2), 2),
+]
+
+
+@pytest.mark.parametrize("samples", [CHUNK - 1, CHUNK, 2 * CHUNK + 7])
+@pytest.mark.parametrize("provider", _LAYOUT_PROVIDERS, ids=lambda p: p.label())
+def test_chunked_draws_equal_the_copy_major_layout(provider, samples):
+    np = pytest.importorskip("numpy")
+    chunks = list(sample_chunks(provider, samples, seed=11))
+    assert [len(c) for c in chunks[:-1]] == [CHUNK] * (len(chunks) - 1)
+    expected = copy_major_draws(provider, np.random.default_rng(11), samples)
+    assert np.array_equal(np.concatenate(chunks), expected)
 
 
 def _thm_3_1_target(n, provider, order=None):
@@ -219,10 +239,31 @@ def test_mc_error_shrinks_with_more_samples():
     assert abs(final.estimate - exact) <= 3 * final.std_error
 
 
-def test_mc_constant_target():
-    result = mc_estimate(ONE, Uniform01(), {}, 100, seed=0)
-    assert result.estimate == 1.0
+@pytest.mark.parametrize("provider", [Uniform01(), IidSum(Bernoulli(Fraction(1, 3)), 2)],
+                         ids=lambda p: p.label())
+def test_mc_merge_matches_the_full_array(provider):
+    np = pytest.importorskip("numpy")
+    samples = 3 * CHUNK + 5
+    target = 3 * Y ** 2 - Y + half
+    result = mc_estimate(target, provider, {}, samples, seed=3)
+    draws = copy_major_draws(provider, np.random.default_rng(3), samples)
+    values = np.polyval([3.0, -1.0, 0.5], draws)
+    assert result.estimate == pytest.approx(np.mean(values), rel=1e-12)
+    assert result.std_error == pytest.approx(np.std(values, ddof=1) / np.sqrt(samples), rel=1e-12)
+
+
+def test_mc_single_sample_has_no_spread():
+    np = pytest.importorskip("numpy")
+    result = mc_estimate(Y, Uniform01(), {}, 1, seed=5)
+    assert result.estimate == np.random.default_rng(5).random()
     assert result.std_error == 0.0
+
+
+def test_mc_constant_target():
+    for samples in (100, 2 * CHUNK + 3):
+        result = mc_estimate(ONE, Uniform01(), {}, samples, seed=0)
+        assert result.estimate == 1.0
+        assert result.std_error == 0.0
 
 
 def test_mc_rejects_leftover_variables():
