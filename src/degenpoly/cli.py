@@ -224,13 +224,19 @@ _FAMILY_NAMES = [f.value for f in FamilyId] + [_SHEFFER_Y]
 # the optional table flags, by argparse dest, and the ones each family reads
 _TABLE_FLAGS = {"lam": "--lambda", "x": "--x", "p": "--p", "a": "--a", "b": "--b",
                 "provider": "--provider"}
+# the orders (a, b) of the hybrid T^{(a,b)} that each series-built family is; an order
+# named "a" or "b" is read from its flag, and is symbolic when the flag is absent
+_HYBRID_ORDERS = {
+    FamilyId.FALLING_LAMBDA.value: (0, 0),
+    FamilyId.DEG_BERNOULLI.value: (1, 0),
+    FamilyId.DEG_EULER.value: (0, 1),
+    FamilyId.HIGHER_BERNOULLI.value: ("a", 0),
+    FamilyId.HIGHER_EULER.value: (0, "b"),
+    FamilyId.SHEFFER_T.value: ("a", "b"),
+}
 _FAMILY_FLAGS = {
-    FamilyId.FALLING_LAMBDA.value: {"lam", "x"},
-    FamilyId.DEG_BERNOULLI.value: {"lam", "x"},
-    FamilyId.DEG_EULER.value: {"lam", "x"},
-    FamilyId.HIGHER_BERNOULLI.value: {"lam", "x", "a"},
-    FamilyId.HIGHER_EULER.value: {"lam", "x", "b"},
-    FamilyId.SHEFFER_T.value: {"lam", "x", "a", "b"},
+    **{family: {"lam", "x", *(e for e in orders if isinstance(e, str))}
+       for family, orders in _HYBRID_ORDERS.items()},
     FamilyId.STIRLING1.value: set(),
     _SHEFFER_Y: {"lam", "x", "p", "provider"},
 }
@@ -260,24 +266,7 @@ def _has_symbolic_p(provider: MomentProvider) -> bool:
 
 def _family_series(args, at: Poly, order: int, meta_params: dict[str, str]) -> Series:
     """The generating series of a series-built family, truncated at ``order``."""
-    family = args.family
-    if family == FamilyId.FALLING_LAMBDA.value:
-        return families.degenerate_exp(at, order)
-    if family == FamilyId.DEG_BERNOULLI.value:
-        return families.bernoulli_series(at, order)
-    if family == FamilyId.DEG_EULER.value:
-        return families.euler_series(at, order)
-    if family == FamilyId.HIGHER_BERNOULLI.value:
-        a = _order_param(args.a, "a", meta_params)
-        return families.higher_bernoulli_series(a, at, order)
-    if family == FamilyId.HIGHER_EULER.value:
-        b = _order_param(args.b, "b", meta_params)
-        return families.higher_euler_series(b, at, order)
-    if family == FamilyId.SHEFFER_T.value:
-        a = _order_param(args.a, "a", meta_params)
-        b = _order_param(args.b, "b", meta_params)
-        return families.sheffer_type_series(a, b, at, order)
-    if family == _SHEFFER_Y:
+    if args.family == _SHEFFER_Y:
         if args.provider is None:
             raise BadParams("family sheffer-y needs --provider")
         provider = parse_provider(args.provider)
@@ -285,7 +274,9 @@ def _family_series(args, at: Poly, order: int, meta_params: dict[str, str]) -> S
             raise BadParams(f"sheffer-y with provider {args.provider} takes no --p")
         meta_params["provider"] = args.provider
         return ShefferSequence(provider, order).series(at)
-    raise BadParams(f"unknown family {family!r}; pick one of {', '.join(_FAMILY_NAMES)}")
+    a, b = [_order_param(getattr(args, e), e, meta_params) if isinstance(e, str) else e
+            for e in _HYBRID_ORDERS[args.family]]
+    return families.sheffer_type_series(a, b, at, order)
 
 
 def _family_rows(args, config) -> tuple[list[dict], dict]:
@@ -346,16 +337,11 @@ def cmd_verify(args) -> int:
     max_n = config["n"] if config["n"] is not None else _DEFAULT_VERIFY_N
     if max_n < 0:
         raise BadParams("--n must be non-negative")
-    injected = None
-    if args.inject_fault:
-        injected = identities.broken_case()
-        identities.register(injected)
-    try:
-        ids = identities.select_ids(args.patterns if args.patterns else None)
-        reports = identities.verify_all(ids, max_n=max_n)
-    finally:
-        if injected is not None:
-            identities.unregister(injected.id)
+    extra = [identities.broken_case()] if args.inject_fault else []
+    ids = identities.select_ids(args.patterns or None, extra)
+    if not ids:
+        raise BadParams(f"no identity matches {' '.join(args.patterns)}")
+    reports = identities.verify_all(ids, max_n=max_n, extra=extra)
 
     fmt = config["format"]
     if fmt == "json":

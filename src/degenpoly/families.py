@@ -1,19 +1,26 @@
 """Constructors for the polynomial families.
 
-Every family is produced by extracting exponential coefficients from its
-generating series.  Only the two base series (``bernoulli_base``,
-``euler_base``) and ``stirling_first`` are cached, behind
-``functools.lru_cache`` for the life of the process; everything else is
-rebuilt on each call, and the identity checker's ``Workspace`` holds what
-its cases share.
+One series builder, ``sheffer_type_series``, makes every family that a
+generating series defines: the degenerate Sheffer-type polynomials
+T^{(a,b)}_{n,λ}(x), whose series is the Bernoulli base to the a, times the
+Euler base to the b, times the degenerate exponential.  The other families
+are its special cases: B^{(a)} = T^{(a,0)}, E^{(b)} = T^{(0,b)},
+B = T^{(1,0)}, E = T^{(0,1)}, and the falling factorials are T^{(0,0)}.
+Each family's values are the exponential coefficients of its series.
+
+Only the two base series (``bernoulli_base``, ``euler_base``) and
+``stirling_first`` are cached, behind ``functools.lru_cache`` for the life
+of the process; everything else is rebuilt on each call, and the identity
+checker's ``Workspace`` holds what its cases share.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial
+from operator import mul
 
 from .poly import Poly, PolyLike, ZERO, ONE, LAM, as_poly
 from .series import Series
@@ -75,29 +82,22 @@ def euler_base(order: int) -> Series:
     return ((e1 + Series.one(order)) * Fraction(1, 2)).reciprocal()
 
 
+def sheffer_type_series(a_param: PolyLike, b_param: PolyLike, at: PolyLike, order: int) -> Series:
+    """(B^a · E^b) · e_λ^at: the one series builder; a base whose order is 0 is left out."""
+    powers = [
+        base(order).pow(e)
+        for base, e in ((bernoulli_base, a_param), (euler_base, b_param))
+        if as_poly(e)
+    ]
+    return reduce(mul, powers + [degenerate_exp(at, order)])
+
+
 def bernoulli_series(at: PolyLike, order: int) -> Series:
-    return bernoulli_base(order) * degenerate_exp(at, order)
+    return sheffer_type_series(1, 0, at, order)
 
 
 def euler_series(at: PolyLike, order: int) -> Series:
-    return euler_base(order) * degenerate_exp(at, order)
-
-
-def higher_bernoulli_series(order_param: PolyLike, at: PolyLike, order: int) -> Series:
-    return bernoulli_base(order).pow(order_param) * degenerate_exp(at, order)
-
-
-def higher_euler_series(order_param: PolyLike, at: PolyLike, order: int) -> Series:
-    return euler_base(order).pow(order_param) * degenerate_exp(at, order)
-
-
-def sheffer_type_series(a_param: PolyLike, b_param: PolyLike, at: PolyLike, order: int) -> Series:
-    """Product of a Bernoulli-type power, an Euler-type power and an exponential."""
-    return (
-        bernoulli_base(order).pow(a_param)
-        * euler_base(order).pow(b_param)
-        * degenerate_exp(at, order)
-    )
+    return sheffer_type_series(0, 1, at, order)
 
 
 def bernoulli_polynomials(n_max: int, at: PolyLike = ZERO) -> list[Poly]:
@@ -118,11 +118,11 @@ def euler_deg(n: int, at: PolyLike = ZERO) -> Poly:
 
 
 def higher_bernoulli(n: int, order_param: PolyLike, at: PolyLike = ZERO) -> Poly:
-    return higher_bernoulli_series(order_param, at, n).egf_coefficient(n)
+    return sheffer_type(n, order_param, 0, at)
 
 
 def higher_euler(n: int, order_param: PolyLike, at: PolyLike = ZERO) -> Poly:
-    return higher_euler_series(order_param, at, n).egf_coefficient(n)
+    return sheffer_type(n, 0, order_param, at)
 
 
 def sheffer_type(n: int, a_param: PolyLike, b_param: PolyLike, at: PolyLike = ZERO) -> Poly:

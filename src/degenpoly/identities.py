@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from fnmatch import fnmatch
+from functools import reduce
 from math import comb, factorial
+from operator import mul
 from typing import Callable, Iterable
 
 from .poly import Poly, ZERO, ONE, LAM, X, Y, A, B, P, as_poly
@@ -89,44 +91,37 @@ class Workspace:
         """A base series raised to a (possibly symbolic) order, formed once."""
         return self._get(("pow", base, e), lambda: base.pow(e))
 
+    def hybrid(self, e1, e2, at: Poly) -> list[Poly]:
+        """T^{(e1,e2)} at ``at``, from (B^e1 · E^e2) · e_λ^at; a base of order 0 is left out.
+
+        This is the one family recipe: the five below are calls to it.
+        """
+        e1, e2 = as_poly(e1), as_poly(e2)
+
+        def make():
+            powers = [
+                self.power(base(self.order), e)
+                for base, e in ((families.bernoulli_base, e1), (families.euler_base, e2))
+                if e
+            ]
+            return reduce(mul, powers + [self.exp_of(at)]).egf_coefficients(self.order)
+
+        return self._get(("hybrid", e1, e2, at), make)
+
     def falling(self, base: Poly) -> list[Poly]:
-        return self._get(
-            ("falling", base),
-            lambda: self.exp_of(base).egf_coefficients(self.order),
-        )
+        return self.hybrid(ZERO, ZERO, base)
 
     def higher_bernoulli(self, e, at: Poly) -> list[Poly]:
-        e = as_poly(e)
-        return self._get(
-            ("hb", e, at),
-            lambda: (self.power(families.bernoulli_base(self.order), e) * self.exp_of(at))
-            .egf_coefficients(self.order),
-        )
+        return self.hybrid(e, ZERO, at)
 
     def higher_euler(self, e, at: Poly) -> list[Poly]:
-        e = as_poly(e)
-        return self._get(
-            ("he", e, at),
-            lambda: (self.power(families.euler_base(self.order), e) * self.exp_of(at))
-            .egf_coefficients(self.order),
-        )
+        return self.hybrid(ZERO, e, at)
 
     def bernoulli(self, at: Poly) -> list[Poly]:
-        return self.higher_bernoulli(ONE, at)
+        return self.hybrid(ONE, ZERO, at)
 
     def euler(self, at: Poly) -> list[Poly]:
-        return self.higher_euler(ONE, at)
-
-    def hybrid(self, e1, e2, at: Poly) -> list[Poly]:
-        e1, e2 = as_poly(e1), as_poly(e2)
-        return self._get(
-            ("hybrid", e1, e2, at),
-            lambda: (
-                self.power(families.bernoulli_base(self.order), e1)
-                * self.power(families.euler_base(self.order), e2)
-                * self.exp_of(at)
-            ).egf_coefficients(self.order),
-        )
+        return self.hybrid(ZERO, ONE, at)
 
     def mgf(self, provider: MomentProvider) -> Series:
         """The provider's moment series, built once; an i.i.d. sum raises its base's series."""
@@ -172,15 +167,14 @@ def registered_ids() -> list[str]:
     return list(_REGISTRY)
 
 
-def register(case: IdentityCase) -> None:
-    """Add a case (used by fault-injection fixtures); ids must be fresh."""
-    if case.id in _REGISTRY:
-        raise ValueError(f"duplicate identity id {case.id!r}")
-    _REGISTRY[case.id] = case
-
-
-def unregister(case_id: str) -> None:
-    _REGISTRY.pop(case_id, None)
+def _with_extra(extra: Iterable[IdentityCase]) -> dict[str, IdentityCase]:
+    """The registry followed by ``extra`` cases, which join it for one call; ids must be fresh."""
+    cases = dict(_REGISTRY)
+    for case in extra:
+        if case.id in cases:
+            raise ValueError(f"duplicate identity id {case.id!r}")
+        cases[case.id] = case
+    return cases
 
 
 def broken_case(case_id: str = "fault-injection") -> IdentityCase:
@@ -200,33 +194,36 @@ def broken_case(case_id: str = "fault-injection") -> IdentityCase:
     return IdentityCase(case_id, "deliberately corrupted self-test entry", build)
 
 
-def select_ids(patterns: Iterable[str] | None) -> list[str]:
-    """Resolve glob patterns against the registry, preserving registry order.
+def select_ids(patterns: Iterable[str] | None, extra: Iterable[IdentityCase] = ()) -> list[str]:
+    """Resolve glob patterns against the registry and ``extra``, preserving their order.
 
     An explicit id (no glob characters) that matches nothing raises
     ``UnknownIdentity``; an unmatched glob just selects nothing.
     """
+    cases = _with_extra(extra)
     if patterns is None:
-        return registered_ids()
+        return list(cases)
     chosen: set[str] = set()
     for pattern in patterns:
         if any(ch in pattern for ch in "*?["):
-            chosen.update(i for i in _REGISTRY if fnmatch(i, pattern))
-        elif pattern in _REGISTRY:
+            chosen.update(i for i in cases if fnmatch(i, pattern))
+        elif pattern in cases:
             chosen.add(pattern)
         else:
             raise UnknownIdentity(f"no identity registered under {pattern!r}")
-    return [i for i in _REGISTRY if i in chosen]
+    return [i for i in cases if i in chosen]
 
 
-def verify(case_id: str, max_n: int = 8, workspace: Workspace | None = None) -> Report:
-    """Check one identity for n = 0..max_n; exact polynomial comparison.
+def verify(
+    case_id: str | IdentityCase, max_n: int = 8, workspace: Workspace | None = None
+) -> Report:
+    """Check one identity, a registered id or a case, for n = 0..max_n; exact comparison.
 
     The series are built at order max_n + 1, one spare coefficient because
     the shift identities look one index ahead; ``workspace`` is reused when
     its order reaches that.
     """
-    case = _REGISTRY.get(case_id)
+    case = case_id if isinstance(case_id, IdentityCase) else _REGISTRY.get(case_id)
     if case is None:
         raise UnknownIdentity(f"no identity registered under {case_id!r}")
     order = max_n + 1
@@ -240,18 +237,26 @@ def verify(case_id: str, max_n: int = 8, workspace: Workspace | None = None) -> 
     return Report(case.id, max_n, True)
 
 
-def verify_all(ids: Iterable[str] | None = None, max_n: int = 8) -> list[Report]:
-    """Check the given ids (default: the whole registry), sharing one workspace.
+def verify_all(
+    ids: Iterable[str] | None = None, max_n: int = 8, extra: Iterable[IdentityCase] = ()
+) -> list[Report]:
+    """Check the given ids (default: the registry and ``extra``), sharing one workspace.
 
-    Reports come back in registry order.
+    Reports come back in registry order, ``extra`` last.  An id that is
+    neither registered nor in ``extra`` raises ``UnknownIdentity``.
     """
+    cases = _with_extra(extra)
     if ids is None:
-        ids = registered_ids()
+        ids = list(cases)
     else:
         wanted = set(ids)
-        ids = [i for i in registered_ids() if i in wanted]
+        missing = wanted - cases.keys()
+        if missing:
+            raise UnknownIdentity(f"no identity registered under {min(missing)!r}")
+        ids = [i for i in cases if i in wanted]
     ws = Workspace(max_n + 1)
-    return [verify(i, max_n=max_n, workspace=ws) for i in ids]
+    # a registered case goes by its id, which is what a traced ``verify`` keys its time by
+    return [verify(i if i in _REGISTRY else cases[i], max_n=max_n, workspace=ws) for i in ids]
 
 
 # -- the registry -----------------------------------------------------------------

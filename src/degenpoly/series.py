@@ -174,9 +174,13 @@ class Series:
         """Symbolic power exp(exponent * log(self)); the base needs constant term 1.
 
         The exponent may be a polynomial (e.g. a bare order variable), so a
-        single verified identity covers every real value of the order.
+        single verified identity covers every real value of the order.  The
+        exponent 1 gives the base itself, once its constant term is checked.
         """
-        return (self.log() * as_poly(exponent)).exp()
+        exponent = as_poly(exponent)
+        if exponent == ONE and self._coeffs[0] == ONE:
+            return self
+        return (self.log() * exponent).exp()
 
     def pow_int(self, exponent: int) -> "Series":
         """Non-negative integer power by repeated multiplication."""

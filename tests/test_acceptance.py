@@ -190,18 +190,14 @@ def test_criterion_7_monte_carlo_smoke(capsys):
 
 def test_criterion_8_fault_injection(capsys):
     case = identities.broken_case("test-corrupt")
-    identities.register(case)
-    try:
-        reports = verify_all(ids=["test-corrupt"], max_n=4)
-        library_ok = (
-            len(reports) == 1
-            and not reports[0].equal
-            and reports[0].mismatch is not None
-            and reports[0].mismatch.n == 2
-            and reports[0].mismatch.diff == Poly.const(-1)
-        )
-    finally:
-        identities.unregister("test-corrupt")
+    reports = verify_all(ids=["test-corrupt"], max_n=4, extra=[case])
+    library_ok = (
+        len(reports) == 1
+        and not reports[0].equal
+        and reports[0].mismatch is not None
+        and reports[0].mismatch.n == 2
+        and reports[0].mismatch.diff == Poly.const(-1)
+    )
     code = main(["verify", "fault-injection", "--inject-fault", "--format", "json"])
     out = capsys.readouterr().out
     doc = json.loads(out)

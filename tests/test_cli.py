@@ -321,6 +321,7 @@ def test_sampling_config_is_read_by_mc_only(monkeypatch, capsys):
     "argv",
     [
         ("verify", "--n", "-3"),
+        ("verify", "zzz*"),
         ("table", "deg-bernoulli", "--x", "1/0"),
         ("table", "deg-bernoulli", "--lambda", "1/0"),
         ("table", "sheffer-y", "--provider", "iid:uniform01:0"),

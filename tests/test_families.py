@@ -217,8 +217,8 @@ def test_coefficients_up_to_n_do_not_depend_on_the_order():
         "degenerate_exp": lambda order: degenerate_exp(X, order),
         "bernoulli": lambda order: families.bernoulli_series(X, order),
         "euler": lambda order: families.euler_series(X, order),
-        "higher_bernoulli": lambda order: families.higher_bernoulli_series(A, X, order),
-        "higher_euler": lambda order: families.higher_euler_series(B, X, order),
+        "higher_bernoulli": lambda order: families.sheffer_type_series(A, 0, X, order),
+        "higher_euler": lambda order: families.sheffer_type_series(0, B, X, order),
         "sheffer_type": lambda order: families.sheffer_type_series(A, B, X, order),
         "uniform01": lambda order: ShefferSequence(Uniform01(), order).series(X),
         "ber:p": lambda order: ShefferSequence(Bernoulli(P), order).series(X),

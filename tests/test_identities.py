@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,12 @@ from degenpoly import (
     X,
     Y,
     A,
+    B,
+    ONE,
     P,
+    ZERO,
     expect_polynomial,
+    falling_factorial,
     higher_bernoulli,
     registered_ids,
     verify,
@@ -81,6 +86,8 @@ def test_unknown_identity():
         verify("no-such-id")
     with pytest.raises(UnknownIdentity):
         identities.select_ids(["thm9.9"])
+    with pytest.raises(UnknownIdentity, match="no-such-id"):
+        verify_all(ids=["thm2.4", "no-such-id"])
 
 
 def test_select_ids_globbing():
@@ -101,26 +108,24 @@ def test_verify_all_empty_filter():
 
 def test_corrupted_entry_is_caught():
     case = identities.broken_case("test-corrupt")
-    identities.register(case)
-    try:
-        reports = verify_all(ids=["test-corrupt", "thm2.4"], max_n=4)
-        unequal = [r for r in reports if not r.equal]
-        assert len(unequal) == 1
-        report = unequal[0]
-        assert report.id == "test-corrupt"
-        assert report.mismatch is not None
-        assert report.mismatch.n == 2
-        assert report.mismatch.diff == Poly.const(-1)
-        assert report.mismatch.lhs != report.mismatch.rhs
-    finally:
-        identities.unregister("test-corrupt")
+    reports = verify_all(ids=["test-corrupt", "thm2.4"], max_n=4, extra=[case])
+    unequal = [r for r in reports if not r.equal]
+    assert len(unequal) == 1
+    report = unequal[0]
+    assert report.id == "test-corrupt"
+    assert report.mismatch is not None
+    assert report.mismatch.n == 2
+    assert report.mismatch.diff == Poly.const(-1)
+    assert report.mismatch.lhs != report.mismatch.rhs
     assert "test-corrupt" not in registered_ids()
 
 
 def test_register_rejects_duplicates():
-    case = identities.broken_case("thm2.4")
-    with pytest.raises(ValueError):
-        identities.register(case)
+    with pytest.raises(ValueError, match="duplicate identity id 'thm2.4'"):
+        identities._case("thm2.4", "a second case under a registered id")(lambda ws: [])
+    assert registered_ids() == EXPECTED_IDS
+    with pytest.raises(ValueError, match="duplicate identity id 'thm2.4'"):
+        verify_all(ids=[], extra=[identities.broken_case("thm2.4")])
 
 
 def test_reports_keep_registry_order():
@@ -203,3 +208,35 @@ def test_workspace_sheffer_matches_the_sheffer_sequence():
         assert ws.mgf(provider) is ws.mgf(provider)
         expected = ShefferSequence(provider, ws.order).polynomials(ws.order, X + Y)
         assert ws.sheffer(provider, X + Y) == expected
+
+
+def test_workspace_hybrid_matches_the_family_constructors():
+    ws = identities.Workspace(5)
+    named = {(ZERO, ZERO): ws.falling, (ONE, ZERO): ws.bernoulli, (ZERO, ONE): ws.euler}
+    for e1, e2, at in itertools.product(
+        (ZERO, ONE, A, A - 1), (ZERO, ONE, B, B - 1), (ZERO, X, X + 1, X + Y)
+    ):
+        expected = families.sheffer_type_series(e1, e2, at, ws.order).egf_coefficients(ws.order)
+        assert ws.hybrid(e1, e2, at) == expected, (e1, e2, at)
+        if not e2:
+            assert ws.higher_bernoulli(e1, at) == expected, (e1, at)
+        if not e1:
+            assert ws.higher_euler(e2, at) == expected, (e2, at)
+        if (e1, e2) in named:
+            assert named[e1, e2](at) == expected, (e1, e2, at)
+    for at in (ZERO, X, X + 1, X + Y):
+        assert ws.falling(at) == [falling_factorial(at, n) for n in range(ws.order + 1)]
+
+
+def test_first_powers_take_no_logarithm(monkeypatch):
+    logs = []
+    log = series.Series.log
+
+    def spy(self):
+        logs.append(self.order)
+        return log(self)
+
+    monkeypatch.setattr(series.Series, "log", spy)
+    assert verify("thm2.4", max_n=5).equal
+    assert [families.higher_euler(n, 1) for n in range(5)] == families.euler_polynomials(4)
+    assert logs == []

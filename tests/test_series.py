@@ -127,7 +127,9 @@ def test_symbolic_power_binomial_series():
 
 def test_power_trivial_exponents():
     f = bernoulli_base(N)
-    assert f.pow(1) == f
+    assert f.pow(1) is f
+    with pytest.raises(NonUnitConstantTerm):
+        Series([2, 1]).pow(1)
     assert f.pow(0) == Series.one(N)
     assert f.pow_int(1) == f
     assert f.pow_int(0) == Series.one(N)
