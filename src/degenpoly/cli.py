@@ -45,8 +45,7 @@ DEFAULTS = {
     "samples": 100_000,
     "seed": 42,
 }
-_DEFAULT_TABLE_N = 10
-_DEFAULT_VERIFY_N = 8
+_DEFAULT_N = {"table": 10, "verify": 8, "mc": 1}
 
 
 class BadParams(Exception):
@@ -103,14 +102,19 @@ def _parse_format(text: str) -> str:
 
 
 def resolve_common(args) -> dict:
-    """Resolve the keys the command's parser defines: only ``mc`` has samples and seed."""
+    """Resolve the command's keys (only ``mc`` has samples and seed); ``n`` defaults per command."""
     file_values = _read_config_file(args.config) if args.config else {}
-    return {
+    config = {
         key: _resolve(key, getattr(args, key), file_values,
                       _parse_format if key == "format" else _parse_int)
         for key in DEFAULTS
         if hasattr(args, key)
     }
+    if config["n"] is None:
+        config["n"] = _DEFAULT_N[args.command]
+    if config["n"] < 0:
+        raise BadParams("--n must be non-negative")
+    return config
 
 
 # -- shared parsing helpers -------------------------------------------------------
@@ -187,17 +191,21 @@ def _emit(text: str) -> None:
         sys.stdout.write("\n")
 
 
+def _csv(header: list[str], rows: list[list]) -> str:
+    """A header line and one line per row; every non-number is quoted."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
 def _render_rows(rows: list[dict], columns: list[str], fmt: str, meta: dict) -> str:
     if fmt == "json":
         doc = {"version": SCHEMA_VERSION, **meta, "rows": rows}
         return json.dumps(doc, ensure_ascii=False, indent=2)
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row[c] for c in columns])
-        return buffer.getvalue()
+        return _csv(columns, [[row[c] for c in columns] for row in rows])
     if fmt == "latex":
         lines = ["\\begin{tabular}{" + "r" * (len(columns) - 1) + "l}", "\\hline"]
         lines.append(" & ".join(columns) + " \\\\")
@@ -281,10 +289,7 @@ def _family_series(args, at: Poly, order: int, meta_params: dict[str, str]) -> S
 
 def _family_rows(args, config) -> tuple[list[dict], dict]:
     family = args.family
-    n_max = config["n"] if config["n"] is not None else _DEFAULT_TABLE_N
-    if n_max < 0:
-        raise BadParams("--n must be non-negative")
-
+    n_max = config["n"]
     _reject_unread(args, _FAMILY_FLAGS[family], _TABLE_FLAGS, family)
     pins: dict[str, Poly] = {}
     meta_params: dict[str, str] = {}
@@ -334,14 +339,11 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     config = resolve_common(args)
-    max_n = config["n"] if config["n"] is not None else _DEFAULT_VERIFY_N
-    if max_n < 0:
-        raise BadParams("--n must be non-negative")
     extra = [identities.broken_case()] if args.inject_fault else []
     ids = identities.select_ids(args.patterns or None, extra)
     if not ids:
         raise BadParams(f"no identity matches {' '.join(args.patterns)}")
-    reports = identities.verify_all(ids, max_n=max_n, extra=extra)
+    reports = identities.verify_all(ids, max_n=config["n"], extra=extra)
 
     fmt = config["format"]
     if fmt == "json":
@@ -353,15 +355,9 @@ def cmd_verify(args) -> int:
             cases.append({"id": r.id, "maxN": r.max_n, "equal": r.equal, "mismatch": mismatch})
         _emit(json.dumps({"version": SCHEMA_VERSION, "cases": cases}, ensure_ascii=False, indent=2))
     elif fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
-        writer.writerow(["id", "maxN", "equal", "mismatch_n", "diff"])
-        for r in reports:
-            if r.mismatch is None:
-                writer.writerow([r.id, r.max_n, "true", "", ""])
-            else:
-                writer.writerow([r.id, r.max_n, "false", r.mismatch.n, str(r.mismatch.diff)])
-        _emit(buffer.getvalue())
+        rows = [[r.id, r.max_n, "false", r.mismatch.n, str(r.mismatch.diff)] if r.mismatch
+                else [r.id, r.max_n, "true", "", ""] for r in reports]
+        _emit(_csv(["id", "maxN", "equal", "mismatch_n", "diff"], rows))
     elif fmt == "latex":
         lines = ["\\begin{tabular}{ll}", "\\hline", "id & status \\\\", "\\hline"]
         for r in reports:
@@ -391,9 +387,7 @@ _MC_READS = {"thm3.1": {"provider"}, "thm3.7": {"m", "l"}}
 def cmd_mc(args) -> int:
     _reject_unread(args, _MC_READS[args.identity], _MC_FLAGS, args.identity)
     config = resolve_common(args)
-    n = config["n"] if config["n"] is not None else 1
-    if n < 0:
-        raise BadParams("--n must be non-negative")
+    n = config["n"]
     if args.lam is None or args.x is None:
         raise BadParams("mc needs explicit --lambda and --x rationals")
     lam_v = _parse_rational(args.lam, "lambda")
@@ -455,12 +449,7 @@ def cmd_mc(args) -> int:
     if fmt == "json":
         _emit(json.dumps({"version": SCHEMA_VERSION, **report}, ensure_ascii=False, indent=2))
     elif fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
-        keys = list(report)
-        writer.writerow(keys)
-        writer.writerow([report[k] for k in keys])
-        _emit(buffer.getvalue())
+        _emit(_csv(list(report), [list(report.values())]))
     elif fmt == "latex":
         lines = ["\\begin{tabular}{ll}", "\\hline"]
         for key, value in report.items():

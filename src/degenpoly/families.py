@@ -22,7 +22,7 @@ from functools import lru_cache, reduce
 from math import factorial
 from operator import mul
 
-from .poly import Poly, PolyLike, ZERO, ONE, LAM, as_poly
+from .poly import Poly, PolyLike, ZERO, ONE, LAM, Y, as_poly
 from .series import Series
 
 
@@ -151,22 +151,20 @@ def stirling_first(n: int, k: int) -> Fraction:
 # -- falling-factorial basis ---------------------------------------------------
 
 
-def falling_basis_coefficients(p: Poly, var: str = "y") -> list[Poly]:
-    """Coefficients c_k with p = sum_k c_k * (var)_{k,λ}.
+def falling_basis_coefficients(p: Poly) -> list[Poly]:
+    """Coefficients c_k with p = sum_k c_k * (y)_{k,λ}.
 
-    The c_k do not involve ``var``; the expansion peels the leading power
-    of ``var`` off the remainder, one degree at a time (each falling
-    factorial is monic in ``var``).
+    The c_k do not involve y; the expansion peels the leading power of y off
+    the remainder, one degree at a time (each falling factorial is monic in y).
     """
-    base = Poly.var(var)
-    degree = p.degree(var)
+    degree = p.degree("y")
     coeffs: list[Poly] = [ZERO] * (degree + 1)
     remainder = p
     for k in range(degree, -1, -1):
-        c = remainder.coefficient_of(var, k)
+        c = remainder.coefficient_of("y", k)
         coeffs[k] = c
         if c:
-            remainder = remainder - c * falling_factorial(base, k)
+            remainder = remainder - c * falling_factorial(Y, k)
     if remainder:
         raise AssertionError("falling-basis expansion left a nonzero remainder")
     return coeffs

@@ -390,12 +390,11 @@ def _thm_t_two(ws: Workspace) -> list[Instance]:
 
 @_case("thm2.7", "halved-parameter Bernoulli values scale to a Bernoulli-Euler convolution")
 def _thm27(ws: Workspace) -> list[Instance]:
-    half = families.bernoulli_series(X, ws.order).map_coefficients(
-        lambda c: c.substitute({"λ": LAM / 2, "x": X / 2})
-    )
-    doubled = half.scale_t(2)
+    doubled = [
+        v.substitute({"λ": LAM / 2, "x": X / 2}) * 2 ** n for n, v in enumerate(ws.bernoulli(X))
+    ]
     rhs = _convolution(ws.bernoulli(ZERO), ws.euler(X))
-    return [(None, doubled.egf_coefficient, rhs)]
+    return [(None, doubled.__getitem__, rhs)]
 
 
 @_case("thm2.8", "forward difference in x lowers the first hybrid order")
@@ -465,7 +464,8 @@ def _thm35(ws: Workspace) -> list[Instance]:
 def _thm36(ws: Workspace) -> list[Instance]:
     instances: list[Instance] = []
     for m, l in ((2, 1), (3, 1), (3, 2)):
-        shifted = ws.higher_bernoulli(m, X + Y)
+        # the convolution reads k <= max_n < ws.order: the last value is never averaged
+        shifted = ws.higher_bernoulli(m, X + Y)[: ws.order]
         averaged = [expect_polynomial(v, ws.moments(IidSum(_UNIFORM, l))) for v in shifted]
         lhs = _convolution(averaged, _stirling_weights(m, ws.order))
         rhs = _convolution(ws.higher_bernoulli(m - l, X), _stirling_weights(m - l, ws.order))

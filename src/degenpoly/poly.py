@@ -291,18 +291,7 @@ class Poly:
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "Poly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial powers must be non-negative integers")
-        result = Poly.const(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return int_power(self, exponent, ONE)
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
@@ -355,27 +344,18 @@ class Poly:
             triples.append((1, rest, factor))
         return Poly.dot(triples)
 
-    def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
-        """Exact value at a fully specified point.
+    def evaluate(self, point: Mapping[str, Scalar | float]) -> Fraction:
+        """Exact value at a fully specified point; a float value is taken exactly.
 
-        Raises ``UnboundVariable`` if any variable of the polynomial is
-        missing from ``point``.
+        Raises ``UnboundVariable``, naming the first in registry order, if a
+        variable of the polynomial is missing from ``point``.
         """
         values = {canonical_var(name): Fraction(v) for name, v in point.items()}
         used = self.variables()
         for name in VAR_NAMES:
             if name in used and name not in values:
                 raise UnboundVariable(f"variable {name!r} has no assigned value")
-        factors = [(s, values[name]) for name, s in zip(VAR_NAMES, _SHIFTS) if name in used]
-        total = Fraction(0)
-        for key, num in self._nums.items():
-            term = Fraction(num)
-            for s, value in factors:
-                e = key >> s & _FIELD_MASK
-                if e:
-                    term *= value ** e
-            total += term
-        return total / self._den
+        return self.substitute(values).constant_value()
 
     # -- canonical text form -------------------------------------------------
 
@@ -506,6 +486,20 @@ class Poly:
                 sign = -1 if value == "-" else 1
             else:
                 raise ValueError(f"expected '+' or '-' in polynomial text {text!r}")
+
+
+def int_power(base, exponent: int, one):
+    """``base`` to the power ``exponent`` by square-and-multiply (TAOCP §4.6.3); ``one`` is 1."""
+    if not isinstance(exponent, int) or exponent < 0:
+        raise ValueError(f"powers need a non-negative integer exponent, got {exponent!r}")
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
 
 
 def as_poly(value: PolyLike) -> Poly:

@@ -32,10 +32,11 @@ class UnsamplableProvider(Exception):
 
 @dataclass(frozen=True)
 class MomentProvider:
-    """Base for exact moment sequences; subclasses implement ``moment``.
+    """Base for exact moment sequences; subclasses implement ``moment`` or ``mgf``.
 
-    ``moment(0)`` is 1 for every provider, so the moment series always has
-    an invertible constant term.
+    Each of the two defaults reads the other, so a subclass defines at least
+    one.  ``moment(0)`` is 1 for every provider, so the moment series always
+    has an invertible constant term.
 
     A samplable provider reads ``columns`` uniform streams, one generator
     each, and ``sample_array(streams, size)`` draws ``size`` values from
@@ -45,7 +46,8 @@ class MomentProvider:
     columns = 1
 
     def moment(self, n: int) -> Poly:
-        raise NotImplementedError
+        """Exponential coefficient n of the moment series."""
+        return self.mgf(n).egf_coefficient(n)
 
     def mgf(self, order: int) -> Series:
         """The moment series: exponential coefficient n is moment(n)."""
@@ -61,9 +63,6 @@ class MomentProvider:
 @dataclass(frozen=True)
 class Uniform01(MomentProvider):
     """Uniform on [0, 1]: moments by exact termwise integration."""
-
-    def moment(self, n: int) -> Poly:
-        return self.mgf(n).egf_coefficient(n)
 
     def mgf(self, order: int) -> Series:
         # coefficient n of e_λ^y(t) is (y)_{n,λ}/n!, and its integral over [0, 1] is moment(n)/n!
@@ -118,9 +117,6 @@ class IidSum(MomentProvider):
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("IidSum needs at least one copy")
-
-    def moment(self, n: int) -> Poly:
-        return self.mgf(n).egf_coefficient(n)
 
     def mgf(self, order: int) -> Series:
         # independence: the moment series of the sum is the m-th power
@@ -194,8 +190,6 @@ class ShefferSequence:
         return self.inverse_mgf * degenerate_exp(at, self.order)
 
     def polynomial(self, n: int, at: PolyLike) -> Poly:
-        if n > self.order:
-            raise OrderExceeded(f"index {n} beyond the configured order {self.order}")
         return self.series(at).egf_coefficient(n)
 
     def polynomials(self, n_max: int, at: PolyLike) -> list[Poly]:
@@ -211,9 +205,9 @@ def expect_falling_basis(coeffs: Sequence[PolyLike], provider: MomentProvider) -
     return Poly.dot((1, c, provider.moment(k)) for k, c in enumerate(coeffs) if c)
 
 
-def expect_polynomial(p: Poly, provider: MomentProvider, var: str = "y") -> Poly:
-    """Apply E to a polynomial in ``var``, treating ``var`` as the random variable."""
-    return expect_falling_basis(falling_basis_coefficients(p, var), provider)
+def expect_polynomial(p: Poly, provider: MomentProvider) -> Poly:
+    """Apply E to a polynomial in y, treating y as the random variable."""
+    return expect_falling_basis(falling_basis_coefficients(p), provider)
 
 
 # -- seeded Monte-Carlo cross-check -------------------------------------------------
@@ -254,9 +248,8 @@ def mc_estimate(
     point: Mapping[str, Fraction | int],
     samples: int,
     seed: int,
-    sample_var: str = "y",
 ) -> McEstimate:
-    """Sample mean of ``target`` with ``sample_var`` drawn from the provider.
+    """Sample mean of ``target`` with y drawn from the provider.
 
     ``point`` pins every other variable to a rational; the result carries
     the standard error of the mean.  Each chunk's mean and centred sum of
@@ -269,12 +262,12 @@ def mc_estimate(
     chunks = sample_chunks(provider, samples, seed)
     first = next(chunks)  # an unsamplable provider fails here, before the target is read
     pinned = target.substitute({name: Fraction(v) for name, v in point.items()})
-    extra = pinned.variables() - {sample_var}
+    extra = pinned.variables() - {"y"}
     if extra:
         raise ValueError(f"target still contains unassigned variables {sorted(extra)}")
-    degree = pinned.degree(sample_var)
+    degree = pinned.degree("y")
     coeffs = [
-        float(pinned.coefficient_of(sample_var, k).constant_value())
+        float(pinned.coefficient_of("y", k).constant_value())
         for k in range(degree, -1, -1)
     ]
     count, mean, m2 = 0, 0.0, 0.0

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Iterable
 
-from .poly import Poly, PolyLike, ZERO, ONE, as_poly
+from .poly import Poly, PolyLike, ZERO, ONE, as_poly, int_power
 
 
 class OrderExceeded(Exception):
@@ -61,10 +61,6 @@ class Series:
     def order(self) -> int:
         return len(self._coeffs) - 1
 
-    @property
-    def coefficients(self) -> tuple[Poly, ...]:
-        return self._coeffs
-
     def coefficient(self, n: int) -> Poly:
         if n < 0 or n > self.order:
             raise OrderExceeded(f"coefficient {n} of a series truncated at order {self.order}")
@@ -77,11 +73,6 @@ class Series:
     def egf_coefficients(self, n_max: int) -> list[Poly]:
         """The exponential coefficients for n = 0..n_max: a family's values."""
         return [self.egf_coefficient(n) for n in range(n_max + 1)]
-
-    def truncate(self, order: int) -> "Series":
-        if order > self.order:
-            raise OrderExceeded(f"cannot extend a series of order {self.order} to {order}")
-        return Series(self._coeffs[: order + 1])
 
     # -- ring operations --------------------------------------------------------
 
@@ -183,19 +174,8 @@ class Series:
         return (self.log() * exponent).exp()
 
     def pow_int(self, exponent: int) -> "Series":
-        """Non-negative integer power by repeated multiplication."""
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("pow_int needs a non-negative integer exponent")
-        result = Series.one(self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        """Non-negative integer power by square-and-multiply."""
+        return int_power(self, exponent, Series.one(self.order))
 
     # -- reindexing ------------------------------------------------------------
 
@@ -208,10 +188,6 @@ class Series:
             out.append(coeff * power if n else coeff)
             power = power * scalar
         return Series(out)
-
-    def mul_t(self) -> "Series":
-        """Multiply by t; the result is trustworthy one order further."""
-        return Series((ZERO,) + self._coeffs)
 
     def div_t(self) -> "Series":
         """Divide by t; requires zero constant term and drops one order."""

@@ -212,15 +212,21 @@ def test_mc_passes_and_is_byte_deterministic(capsys):
 
 
 def test_mc_constant_case(capsys):
-    code, out, _ = run(
-        capsys, "mc", "thm3.1", "--lambda", "1/8", "--x", "1/4", "--n", "0",
-        "--samples", "100", "--format", "json",
-    )
+    argv = ("mc", "thm3.1", "--lambda", "1/8", "--x", "1/4", "--n", "0", "--samples", "100")
+    code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert doc["estimate"] == 1.0
     assert doc["std_error"] == 0.0
     assert doc["exact"] == "1/1"
+    # csv: one header line and one row, strings quoted and numbers bare
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out == (
+        '"command","identity","n","lambda","x","samples","seed","provider","exact",'
+        '"exact_float","estimate","std_error","z","pass"\n'
+        '"mc","thm3.1",0,"1/8","1/4",100,42,"uniform01","1/1",1.0,1.0,0.0,0.0,True\n'
+    )
 
 
 def test_mc_thm37(capsys):

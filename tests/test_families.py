@@ -198,7 +198,7 @@ def test_stirling_matches_log_power_series():
 
 def test_falling_basis_round_trip():
     p = (X + Poly.var("y")) ** 3 + LAM * Poly.var("y") - 7
-    coeffs = falling_basis_coefficients(p, "y")
+    coeffs = falling_basis_coefficients(p)
     rebuilt = sum(
         (c * falling_factorial(Poly.var("y"), k) for k, c in enumerate(coeffs)), ZERO
     )
@@ -207,7 +207,7 @@ def test_falling_basis_round_trip():
 
 
 def test_falling_basis_of_plain_falling_factorial():
-    coeffs = falling_basis_coefficients(falling_factorial(Poly.var("y"), 3), "y")
+    coeffs = falling_basis_coefficients(falling_factorial(Poly.var("y"), 3))
     assert coeffs == [ZERO, ZERO, ZERO, ONE]
 
 

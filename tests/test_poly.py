@@ -58,11 +58,19 @@ def test_evaluate():
     q = X - Fraction(1, 2) + LAM / 2
     assert q.evaluate({"x": Fraction(1, 2), "λ": 0}) == 0
     assert ONE.evaluate({}) == 1
+    # float values are taken exactly, and the ASCII alias names λ
+    assert q.evaluate({"x": 0.25, "lambda": 0.5}) == Fraction(0)
+    assert (X * LAM).evaluate({"x": 0.1, "lam": 3}) == Fraction(0.1) * 3
 
 
 def test_evaluate_unbound():
     with pytest.raises(UnboundVariable):
         (X + LAM).evaluate({"x": 1})
+    # the first missing variable in registry order is named, whatever the term order
+    with pytest.raises(UnboundVariable, match="'x'"):
+        (P ** 3 + Y * X + LAM).evaluate({"lambda": 1})
+    with pytest.raises(UnboundVariable, match="'y'"):
+        (P + Y).evaluate({"x": 0})
 
 
 def test_degree_and_coefficient_of():

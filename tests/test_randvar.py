@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from degenpoly import (
     Bernoulli,
     CustomMoments,
     IidSum,
+    MomentProvider,
     OrderExceeded,
     Poly,
     Series,
@@ -83,6 +85,19 @@ def test_iid_sum_moment_convolves():
     explicit = independent_sum_moments(u, u, 6)
     for n in range(7):
         assert two.moment(n) == explicit.moment(n)
+
+
+def test_moment_defaults_to_the_moment_series():
+    # a provider that defines only its moment series reads moment n off coefficient n
+    @dataclass(frozen=True)
+    class SeriesOnly(MomentProvider):
+        def mgf(self, order: int) -> Series:
+            return degenerate_exp(P, order)
+
+    provider = SeriesOnly()
+    coefficients = degenerate_exp(P, 6).egf_coefficients(6)
+    assert [provider.moment(n) for n in range(7)] == coefficients
+    assert coefficients[3] == falling_factorial(P, 3)
 
 
 def test_iid_sum_needs_copies():
