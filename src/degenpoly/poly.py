@@ -489,16 +489,25 @@ class Poly:
 
 
 def int_power(base, exponent: int, one):
-    """``base`` to the power ``exponent`` by square-and-multiply (TAOCP §4.6.3); ``one`` is 1."""
+    """``base`` to the power ``exponent`` by square-and-multiply (TAOCP §4.6.3); ``one`` is 1.
+
+    The result starts at the power of ``base`` for the lowest set bit, so no
+    product with ``one`` is made.
+    """
     if not isinstance(exponent, int) or exponent < 0:
         raise ValueError(f"powers need a non-negative integer exponent, got {exponent!r}")
-    result = one
+    if not exponent:
+        return one
+    while not exponent & 1:
+        base = base * base
+        exponent >>= 1
+    result = base
+    exponent >>= 1
     while exponent:
+        base = base * base
         if exponent & 1:
             result = result * base
         exponent >>= 1
-        if exponent:
-            base = base * base
     return result
 
 

@@ -10,9 +10,11 @@ the exact layer never touches floats.
 from __future__ import annotations
 
 import itertools
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .poly import Poly, PolyLike, ZERO, ONE, as_poly
 from .series import OrderExceeded, Series
@@ -39,11 +41,14 @@ class MomentProvider:
     has an invertible constant term.
 
     A samplable provider reads ``columns`` uniform streams, one generator
-    each, and ``sample_array(streams, size)`` draws ``size`` values from
-    each of them.
+    each, and ``sample_array(streams, size, out)`` draws ``size`` values from
+    each of them.  Its result is a new array when ``out`` is None; otherwise
+    it is ``out[:size]``, and ``out`` holds ``buffers * size`` floats, the
+    ones past ``size`` being scratch for the draws of i.i.d. copies.
     """
 
     columns = 1
+    buffers = 1
 
     def moment(self, n: int) -> Poly:
         """Exponential coefficient n of the moment series."""
@@ -53,7 +58,8 @@ class MomentProvider:
         """The moment series: exponential coefficient n is moment(n)."""
         return Series.from_egf(self.moment, order)
 
-    def sample_array(self, streams: Sequence[np.random.Generator], size: int) -> np.ndarray:
+    def sample_array(self, streams: Sequence[np.random.Generator], size: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
         raise UnsamplableProvider(f"{self.label()} cannot be sampled")
 
     def label(self) -> str:
@@ -68,8 +74,9 @@ class Uniform01(MomentProvider):
         # coefficient n of e_λ^y(t) is (y)_{n,λ}/n!, and its integral over [0, 1] is moment(n)/n!
         return degenerate_exp(Poly.var("y"), order).map_coefficients(_integrate_unit_interval)
 
-    def sample_array(self, streams: Sequence[np.random.Generator], size: int) -> np.ndarray:
-        return streams[0].random(size)
+    def sample_array(self, streams: Sequence[np.random.Generator], size: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        return streams[0].random(size, out=out)
 
     def label(self) -> str:
         return "uniform01"
@@ -95,13 +102,17 @@ class Bernoulli(MomentProvider):
             return ONE
         return self.p * falling_factorial(ONE, n)
 
-    def sample_array(self, streams: Sequence[np.random.Generator], size: int) -> np.ndarray:
+    def sample_array(self, streams: Sequence[np.random.Generator], size: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        import numpy as np
+
         if not self.p.is_constant():
             raise UnsamplableProvider("Bernoulli with a symbolic probability cannot be sampled")
         pv = self.p.constant_value()
         if pv < 0 or pv > 1:
             raise UnsamplableProvider(f"Bernoulli probability {pv} is outside [0, 1]")
-        return (streams[0].random(size) < float(pv)).astype(float)
+        draws = streams[0].random(size, out=out)
+        return np.less(draws, float(pv), out=draws)  # 1.0 or 0.0 in place
 
     def label(self) -> str:
         return f"ber({self.p})"
@@ -126,12 +137,23 @@ class IidSum(MomentProvider):
     def columns(self) -> int:
         return self.m * self.base.columns
 
-    def sample_array(self, streams: Sequence[np.random.Generator], size: int) -> np.ndarray:
+    @property
+    def buffers(self) -> int:
+        # copies after the first are drawn into the scratch after the total
+        return self.base.buffers + (self.m > 1)
+
+    def sample_array(self, streams: Sequence[np.random.Generator], size: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        import numpy as np
+
+        if out is None:
+            out = np.empty(self.buffers * size)
         # copy j reads columns [j*w, (j+1)*w); the copies are added in order
         w = self.base.columns
-        total = self.base.sample_array(streams[:w], size)
+        total = self.base.sample_array(streams[:w], size, out[:self.base.buffers * size])
+        scratch = out[size:(self.base.buffers + 1) * size]
         for j in range(1, self.m):
-            total += self.base.sample_array(streams[j * w:(j + 1) * w], size)
+            total += self.base.sample_array(streams[j * w:(j + 1) * w], size, scratch)
         return total
 
     def label(self) -> str:
@@ -213,12 +235,20 @@ def expect_polynomial(p: Poly, provider: MomentProvider) -> Poly:
 # -- seeded Monte-Carlo cross-check -------------------------------------------------
 #
 # The PRNG is PCG64 as exposed by numpy.random.default_rng.  Sampling runs in
-# chunks of CHUNK samples, so memory is bounded by the chunk, not by the
-# sample count.  Column c of the provider reads its own PCG64(seed) advanced
-# by c * samples draws: that is the stream position column c had when one
-# generator drew every column's full array in turn, so each sample's value
-# equals that copy-major layout bit for bit.  Estimates are bit-reproducible
-# for a fixed (seed, samples) pair.
+# chunks of CHUNK samples.  Column c of the provider reads its own PCG64(seed)
+# advanced by c * samples draws: that is the stream position column c had
+# when one generator drew every column's full array in turn, so each sample's
+# value equals that copy-major layout bit for bit.
+#
+# mc_estimate splits the chunks into one contiguous part per available CPU.
+# A part advances its streams to its first chunk, draws each chunk into one
+# reused buffer (plus scratch for i.i.d. copies), evaluates the target there
+# by Horner's rule in place and returns each chunk's size, mean and centred
+# sum of squares.  numpy releases the interpreter lock inside these kernels,
+# so the parts run in parallel threads.  The calling thread takes part 0 and
+# merges every chunk in chunk order, so the estimate is the same for any
+# number of parts and bit-reproducible for a fixed (seed, samples) pair.
+# Memory is a few CHUNK-sized buffers per part, not the sample count.
 
 CHUNK = 1 << 16
 
@@ -230,16 +260,61 @@ class McEstimate:
     samples: int
 
 
-def sample_chunks(provider: MomentProvider, samples: int, seed: int) -> Iterator[np.ndarray]:
-    """The provider's ``samples`` draws, in order, as arrays of at most CHUNK values."""
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not offered on every platform
+        return os.cpu_count() or 1
+
+
+def _chunk_draws(provider: MomentProvider, samples: int, seed: int,
+                 first: int, last: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Draws of chunks [first, last), each with a spare array of its size.
+
+    Both are views of one buffer that every chunk reuses: the draws at its
+    head, the spare array after them, over the scratch of i.i.d. copies.
+    """
     import numpy as np
 
+    start = first * CHUNK
     streams = [
-        np.random.Generator(np.random.PCG64(seed).advance(c * samples))
+        np.random.Generator(np.random.PCG64(seed).advance(c * samples + start))
         for c in range(provider.columns)
     ]
-    for start in range(0, samples, CHUNK):
-        yield provider.sample_array(streams, min(CHUNK, samples - start))
+    buffer = np.empty(max(provider.buffers, 2) * CHUNK)
+    for start in range(start, min(last * CHUNK, samples), CHUNK):
+        size = min(CHUNK, samples - start)
+        draws = provider.sample_array(streams, size, buffer[:provider.buffers * size])
+        yield draws, buffer[size:2 * size]
+
+
+def sample_chunks(provider: MomentProvider, samples: int, seed: int) -> Iterator[np.ndarray]:
+    """The provider's ``samples`` draws, in order, as arrays of at most CHUNK values."""
+    for draws, _ in _chunk_draws(provider, samples, seed, 0, -(-samples // CHUNK)):
+        yield draws.copy()
+
+
+def _chunk_moments(chunks: Iterable[tuple[np.ndarray, np.ndarray]],
+                   coeffs: Sequence[float]) -> list[tuple[int, float, float]]:
+    """(size, mean, centred sum of squares) of the target at each chunk of draws.
+
+    Horner's rule runs in the spare array.  ``np.polyval(coeffs, draws)``
+    starts from 0 * draws + coeffs[0], which is coeffs[0] for finite draws,
+    and then makes the same products and sums, so the values are the same.
+    """
+    import numpy as np
+
+    moments = []
+    for draws, values in chunks:
+        values.fill(coeffs[0])
+        for c in coeffs[1:]:
+            values *= draws
+            values += c
+        mean = float(values.mean())
+        values -= mean
+        moments.append((len(values), mean, float(np.square(values, out=values).sum())))
+    return moments
 
 
 def mc_estimate(
@@ -253,14 +328,18 @@ def mc_estimate(
 
     ``point`` pins every other variable to a rational; the result carries
     the standard error of the mean.  Each chunk's mean and centred sum of
-    squares are merged pairwise (Chan, Golub & LeVeque, 1979).
+    squares are merged pairwise (Chan, Golub & LeVeque, 1979), in chunk
+    order, so the result does not depend on how many threads drew them.
     """
     import numpy as np
 
     if samples < 1:
         raise ValueError("need at least one sample")
-    chunks = sample_chunks(provider, samples, seed)
-    first = next(chunks)  # an unsamplable provider fails here, before the target is read
+    chunk_count = -(-samples // CHUNK)
+    parts = min(_cpu_count(), chunk_count)
+    bounds = [chunk_count * i // parts for i in range(parts + 1)]
+    own = _chunk_draws(provider, samples, seed, bounds[0], bounds[1])
+    first = next(own)  # an unsamplable provider fails here, before the target is read
     pinned = target.substitute({name: Fraction(v) for name, v in point.items()})
     extra = pinned.variables() - {"y"}
     if extra:
@@ -270,13 +349,30 @@ def mc_estimate(
         float(pinned.coefficient_of("y", k).constant_value())
         for k in range(degree, -1, -1)
     ]
+    results: list = [None] * parts
+
+    def run_part(i: int) -> None:
+        try:
+            draws = _chunk_draws(provider, samples, seed, bounds[i], bounds[i + 1])
+            results[i] = _chunk_moments(draws, coeffs)
+        except BaseException as exc:  # raised again by the calling thread
+            results[i] = exc
+
+    threads = [threading.Thread(target=run_part, args=(i,)) for i in range(1, parts)]
+    for thread in threads:
+        thread.start()
+    try:
+        results[0] = _chunk_moments(itertools.chain((first,), own), coeffs)
+    finally:
+        for thread in threads:
+            thread.join()
+    moments = []
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+        moments += result
     count, mean, m2 = 0, 0.0, 0.0
-    for draws in itertools.chain((first,), chunks):
-        values = np.polyval(coeffs, draws)
-        size = len(values)
-        chunk_mean = float(values.mean())
-        values -= chunk_mean
-        chunk_m2 = float(np.square(values, out=values).sum())
+    for size, chunk_mean, chunk_m2 in moments:
         total = count + size
         delta = chunk_mean - mean
         mean += delta * (size / total)

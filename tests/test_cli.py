@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from degenpoly import DEGREE_LIMIT, Poly, bernoulli_polynomials, euler_polynomials, sheffer_type, X
 from degenpoly.cli import FORMATS, main, parse_provider, poly_latex, BadParams, _FAMILY_NAMES
-from degenpoly.randvar import Bernoulli, IidSum, Uniform01, Zero
+from degenpoly.randvar import CHUNK, Bernoulli, IidSum, Uniform01, Zero
 from degenpoly import LAM
 
 
@@ -481,6 +481,21 @@ print(loaded)
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[False, (0, False), (0, False), (0, True)]"
+
+
+@pytest.mark.parametrize("provider", ["ber:3/2", "zero"])
+def test_mc_unsamplable_provider_fails_with_one_error_line(provider):
+    # a fresh process, so that a traceback printed by any thread would show on stderr
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    done = subprocess.run(
+        [sys.executable, "-m", "degenpoly.cli", "mc", "thm3.1", "--provider", provider,
+         "--lambda", "1/8", "--x", "1/4", "--samples", str(3 * CHUNK + 5)],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert [line.startswith("error:") for line in done.stderr.splitlines()].count(True) == 1
+    assert "Traceback" not in done.stderr
 
 
 def test_mc_peak_memory_is_bounded_by_the_chunk():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from degenpoly import (
     DEGREE_LIMIT, DegreeLimitExceeded, Poly, UnboundVariable, VAR_NAMES, ZERO, ONE, LAM, X, Y, P,
 )
-from degenpoly.poly import as_poly
+from degenpoly.poly import as_poly, int_power
 
 from oracles import terms_add, terms_mul, terms_neg
 
@@ -87,6 +87,27 @@ def test_power():
     assert X ** 0 == ONE
     with pytest.raises(ValueError):
         X ** -1
+
+
+def test_int_power_makes_no_product_with_one():
+    products = []
+
+    class Factor:
+        def __init__(self, value):
+            self.value = value
+
+        def __mul__(self, other):
+            products.append((self.value, other.value))
+            return Factor(self.value * other.value)
+
+    one = Factor(1)
+    assert int_power(Factor(3), 0, one) is one
+    for exponent in range(1, 40):
+        products.clear()
+        assert int_power(Factor(3), exponent, one).value == 3 ** exponent
+        assert all(1 not in pair for pair in products)
+        # one squaring per bit above the lowest, one product per set bit after the first
+        assert len(products) == exponent.bit_length() - 1 + bin(exponent).count("1") - 1
 
 
 def test_str_golden():

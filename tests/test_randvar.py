@@ -1,3 +1,6 @@
+import itertools
+import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,7 +33,8 @@ from degenpoly import (
     mc_estimate,
 )
 from degenpoly.families import bernoulli_base, degenerate_exp
-from degenpoly.randvar import CHUNK, sample_chunks
+from degenpoly import randvar
+from degenpoly.randvar import CHUNK, McEstimate, sample_chunks
 from oracles import copy_major_draws
 
 half = Fraction(1, 2)
@@ -295,3 +299,93 @@ def test_mc_iid_sum_sampling():
     exact = float(higher_euler(3, 1, X).evaluate(point))
     result = mc_estimate(target, inner, point, 200_000, seed=99)
     assert abs(result.estimate - exact) <= 3 * result.std_error
+
+
+def _serial_mc(target, provider, point, samples, seed) -> McEstimate:
+    """The estimator written out serially: the copy-major draws cut at CHUNK,
+    np.polyval on each chunk, and the chunks merged in order."""
+    np = pytest.importorskip("numpy")
+    pinned = target.substitute(point)
+    coeffs = [float(pinned.coefficient_of("y", k).constant_value())
+              for k in range(pinned.degree("y"), -1, -1)]
+    draws = copy_major_draws(provider, np.random.default_rng(seed), samples)
+    count, mean, m2 = 0, 0.0, 0.0
+    for start in range(0, samples, CHUNK):
+        values = np.polyval(coeffs, draws[start:start + CHUNK])
+        size = len(values)
+        chunk_mean = float(values.mean())
+        chunk_m2 = float(np.square(values - chunk_mean).sum())
+        total = count + size
+        delta = chunk_mean - mean
+        mean += delta * (size / total)
+        m2 += chunk_m2 + delta * delta * (count * size / total)
+        count = total
+    std_error = float(np.sqrt(m2 / (samples - 1)) / np.sqrt(samples))
+    return McEstimate(estimate=mean, std_error=std_error, samples=samples)
+
+
+_MC_POINT = {"λ": Fraction(1, 8), "x": Fraction(1, 4)}
+_MC_TARGETS = {
+    "degree0": Poly.const(Fraction(5, 3)) + LAM,
+    "degree1": 2 * Y - X,
+    "degree4": _thm_3_1_target(4, IidSum(Uniform01(), 3)),
+}
+
+
+@pytest.mark.parametrize("target", _MC_TARGETS, ids=str)
+@pytest.mark.parametrize("samples", [CHUNK - 1, 3 * CHUNK + 5])
+@pytest.mark.parametrize("provider", _LAYOUT_PROVIDERS, ids=lambda p: p.label())
+def test_mc_equals_the_serial_oracle_bit_for_bit(provider, samples, target):
+    target = _MC_TARGETS[target]
+    result = mc_estimate(target, provider, _MC_POINT, samples, seed=17)
+    assert result == _serial_mc(target, provider, _MC_POINT, samples, seed=17)
+
+
+@pytest.mark.parametrize("provider", _LAYOUT_PROVIDERS, ids=lambda p: p.label())
+def test_mc_estimate_does_not_depend_on_the_cpu_count(provider, monkeypatch):
+    pytest.importorskip("numpy")
+    target = _MC_TARGETS["degree4"]
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(randvar, "_cpu_count", lambda cpus=cpus: cpus)
+            results.append(mc_estimate(target, provider, _MC_POINT, 3 * CHUNK + 5, seed=23))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[0] == results[1] == results[2]
+
+
+class _ChunkFailure(Exception):
+    pass
+
+
+@dataclass(frozen=True)
+class _FailingUniform(Uniform01):
+    """Uniform01 whose draws fail after the first chunk, or in worker threads only."""
+
+    in_workers_only: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "calls", itertools.count())
+
+    def sample_array(self, streams, size, out=None):
+        if self.in_workers_only:
+            failed = threading.current_thread() is not threading.main_thread()
+        else:
+            failed = next(self.calls) > 0
+        if failed:
+            raise _ChunkFailure("a later chunk failed")
+        return super().sample_array(streams, size, out)
+
+
+@pytest.mark.parametrize("cpus, in_workers_only",
+                         [(1, False), (2, False), (3, False), (2, True), (3, True)])
+def test_a_failing_chunk_reaches_the_caller_and_no_thread_survives(cpus, in_workers_only, monkeypatch):
+    pytest.importorskip("numpy")
+    monkeypatch.setattr(randvar, "_cpu_count", lambda: cpus)
+    before = threading.active_count()
+    with pytest.raises(_ChunkFailure):
+        mc_estimate(Y, _FailingUniform(in_workers_only), {}, 3 * CHUNK + 5, seed=1)
+    assert threading.active_count() == before
