@@ -134,6 +134,12 @@ def _parse_rational(text: str, what: str) -> Fraction:
         raise BadParams(f"{what} must be a rational like 3/4, got {text!r}") from exc
 
 
+def _check_probability(coin: Bernoulli, text: str) -> Bernoulli:
+    if not coin.in_range():
+        raise BadParams(f"Bernoulli probability must lie in [0, 1], got {text!r}")
+    return coin
+
+
 def parse_provider(spec: str) -> MomentProvider:
     """Provider specs: uniform01 | zero | ber:<p> | iid:<base spec>:<m>."""
     if spec == "uniform01":
@@ -144,7 +150,7 @@ def parse_provider(spec: str) -> MomentProvider:
         value = spec[4:]
         if value == "p":
             return Bernoulli(Poly.var("p"))
-        return Bernoulli(_parse_rational(value, "Bernoulli probability"))
+        return _check_probability(Bernoulli(_parse_rational(value, "Bernoulli probability")), value)
     if spec.startswith("iid:"):
         body, _, count = spec[4:].rpartition(":")
         if not body:
@@ -303,6 +309,8 @@ def _family_rows(args, config) -> tuple[list[dict], dict]:
                 at = _parse_poly(raw, var)
             else:
                 pins[var] = _parse_poly(raw, var)
+    if "p" in pins:  # p is the probability of ber:p
+        _check_probability(Bernoulli(pins["p"]), args.p)
 
     # only json and latex print the LaTeX column
     with_latex = config["format"] in ("json", "latex")
@@ -394,8 +402,8 @@ def cmd_mc(args) -> int:
     x_v = _parse_rational(args.x, "x")
     samples = config["samples"]
     seed = config["seed"]
-    if samples < 1:
-        raise BadParams("--samples must be positive")
+    if samples < 2:
+        raise BadParams("--samples must be at least 2, so the standard error is defined")
     if seed < 0:
         raise BadParams("--seed must be non-negative")
     order = max(n, 1)

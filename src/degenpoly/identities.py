@@ -69,11 +69,16 @@ class IdentityCase:
 
 
 class Workspace:
-    """Order-bound cache of the generating series the identity recipes share."""
+    """Cache of what the identity recipes share, through coefficient ``order``.
+
+    It owns the series, the B^e1 · E^e2 factors, the providers' moments, the
+    Stirling table that turns those into ordinary moments E[Y^j], and the
+    look-ahead: a Workspace one order higher, made when a recipe reads past.
+    """
 
     def __init__(self, order: int):
-        if order < 1:
-            raise ValueError("workspace order must be at least 1")
+        if order < 0:
+            raise ValueError("workspace order must be non-negative")
         self.order = order
         self._cache: dict = {}
 
@@ -83,6 +88,10 @@ class Workspace:
             value = make()
             self._cache[key] = value
         return value
+
+    def ahead(self) -> "Workspace":
+        """The Workspace of order ``order + 1``, made on first use."""
+        return self._get(("ahead",), lambda: Workspace(self.order + 1))
 
     def exp_of(self, base: Poly) -> Series:
         return self._get(("exp", base), lambda: families.degenerate_exp(base, self.order))
@@ -94,17 +103,24 @@ class Workspace:
     def hybrid(self, e1, e2, at: Poly) -> list[Poly]:
         """T^{(e1,e2)} at ``at``, from (B^e1 · E^e2) · e_λ^at; a base of order 0 is left out.
 
-        This is the one family recipe: the five below are calls to it.
+        This is the one family recipe: the five below are calls to it.  The
+        factor B^e1 · E^e2 is formed once per order pair.
         """
         e1, e2 = as_poly(e1), as_poly(e2)
 
-        def make():
+        def factor():
             powers = [
                 self.power(base(self.order), e)
                 for base, e in ((families.bernoulli_base, e1), (families.euler_base, e2))
                 if e
             ]
-            return reduce(mul, powers + [self.exp_of(at)]).egf_coefficients(self.order)
+            return reduce(mul, powers)
+
+        def make():
+            series = self.exp_of(at)
+            if e1 or e2:
+                series = self._get(("factor", e1, e2), factor) * series
+            return series.egf_coefficients(self.order)
 
         return self._get(("hybrid", e1, e2, at), make)
 
@@ -139,6 +155,27 @@ class Workspace:
             ("moments", provider),
             lambda: CustomMoments(self.mgf(provider).egf_coefficients(self.order)),
         )
+
+    def stirling_rows(self) -> list[list[Poly]]:
+        """Row j is y^j in the λ-falling basis: degenerate Stirling numbers of the second kind."""
+        return self._get(("stirling2",), lambda: [
+            families.falling_basis_coefficients(Y ** j) for j in range(self.order + 1)
+        ])
+
+    def expect(self, p: Poly, provider: MomentProvider) -> Poly:
+        """E[p(Y)] for a y-degree at most ``order``: the dot of [y^j]p with E[Y^j]."""
+        degree = p.degree("y")
+        if degree > self.order:
+            raise ValueError(f"y-degree {degree} is past the workspace order {self.order}; "
+                             f"{expect_polynomial.__name__} takes any degree")
+
+        def ordinary():
+            moments = self.moments(provider).table
+            return [Poly.dot((1, c, moments[k]) for k, c in enumerate(row) if c)
+                    for row in self.stirling_rows()]
+
+        moments = self._get(("ordinary-moments", provider), ordinary)
+        return Poly.dot((1, p.coefficient_of("y", j), moments[j]) for j in range(degree + 1))
 
     def sheffer(self, provider: MomentProvider, at: Poly) -> list[Poly]:
         """The provider's Sheffer family at ``at``: e_λ^at(t) over the moment series."""
@@ -219,15 +256,15 @@ def verify(
 ) -> Report:
     """Check one identity, a registered id or a case, for n = 0..max_n; exact comparison.
 
-    The series are built at order max_n + 1, one spare coefficient because
-    the shift identities look one index ahead; ``workspace`` is reused when
-    its order reaches that.
+    The series are built at order max_n, since coefficient n of a series
+    depends only on the coefficients up to n; ``workspace`` is reused when
+    its order reaches max_n.  A recipe that reads one index further takes it
+    from the workspace's look-ahead.
     """
     case = case_id if isinstance(case_id, IdentityCase) else _REGISTRY.get(case_id)
     if case is None:
         raise UnknownIdentity(f"no identity registered under {case_id!r}")
-    order = max_n + 1
-    ws = workspace if workspace is not None and workspace.order >= order else Workspace(order)
+    ws = workspace if workspace is not None and workspace.order >= max_n else Workspace(max_n)
     for label, lhs, rhs in case.build(ws):
         for n in range(max_n + 1):
             left = lhs(n)
@@ -254,7 +291,7 @@ def verify_all(
         if missing:
             raise UnknownIdentity(f"no identity registered under {min(missing)!r}")
         ids = [i for i in cases if i in wanted]
-    ws = Workspace(max_n + 1)
+    ws = Workspace(max_n)
     # a registered case goes by its id, which is what a traced ``verify`` keys its time by
     return [verify(i if i in _REGISTRY else cases[i], max_n=max_n, workspace=ws) for i in ids]
 
@@ -416,8 +453,8 @@ def _thm31(ws: Workspace) -> list[Instance]:
     for provider in (_UNIFORM, _BER_HALF, _BER_P):
         shifted = ws.sheffer(provider, X + Y)
 
-        def lhs(n: int, shifted=shifted, moments=ws.moments(provider)) -> Poly:
-            return expect_polynomial(shifted[n], moments)
+        def lhs(n: int, shifted=shifted, provider=provider) -> Poly:
+            return ws.expect(shifted[n], provider)
 
         instances.append((provider.label(), lhs, falling.__getitem__))
     return instances
@@ -464,9 +501,8 @@ def _thm35(ws: Workspace) -> list[Instance]:
 def _thm36(ws: Workspace) -> list[Instance]:
     instances: list[Instance] = []
     for m, l in ((2, 1), (3, 1), (3, 2)):
-        # the convolution reads k <= max_n < ws.order: the last value is never averaged
-        shifted = ws.higher_bernoulli(m, X + Y)[: ws.order]
-        averaged = [expect_polynomial(v, ws.moments(IidSum(_UNIFORM, l))) for v in shifted]
+        inner = IidSum(_UNIFORM, l)
+        averaged = [ws.expect(v, inner) for v in ws.higher_bernoulli(m, X + Y)]
         lhs = _convolution(averaged, _stirling_weights(m, ws.order))
         rhs = _convolution(ws.higher_bernoulli(m - l, X), _stirling_weights(m - l, ws.order))
         instances.append((f"m={m},l={l}", lhs, rhs))
@@ -478,11 +514,11 @@ def _thm37(ws: Workspace) -> list[Instance]:
     instances: list[Instance] = []
     for m, l in ((2, 1), (3, 1), (3, 2)):
         shifted = ws.sheffer(IidSum(_BER_HALF, m), X + Y)
-        inner = ws.moments(IidSum(_BER_HALF, l))
+        inner = IidSum(_BER_HALF, l)
         remaining = ws.higher_euler(m - l, X)
 
         def lhs(n: int, shifted=shifted, inner=inner) -> Poly:
-            return expect_polynomial(shifted[n], inner)
+            return ws.expect(shifted[n], inner)
 
         instances.append((f"m={m},l={l}", lhs, remaining.__getitem__))
     return instances
@@ -529,9 +565,10 @@ def _thm311_b(ws: Workspace) -> list[Instance]:
 @_case("thm3.11-E", "Euler-power addition formula through Bernoulli polynomials")
 def _thm311_e(ws: Workspace) -> list[Instance]:
     total = ws.higher_euler(B, X + Y)
-    he = ws.higher_euler(B, Y)
-    he_low = ws.higher_euler(B - ONE, Y)
-    steps = [(he_low[k + 1] - he[k + 1]) * Fraction(2, k + 1) for k in range(ws.order)]
+    # step k reads index k + 1, one past the order for k = order
+    he = ws.ahead().higher_euler(B, Y)
+    he_low = ws.ahead().higher_euler(B - ONE, Y)
+    steps = [(he_low[k + 1] - he[k + 1]) * Fraction(2, k + 1) for k in range(ws.order + 1)]
     rhs = _convolution(steps, ws.bernoulli(X))
     return [(None, total.__getitem__, rhs)]
 

@@ -102,6 +102,10 @@ class Bernoulli(MomentProvider):
             return ONE
         return self.p * falling_factorial(ONE, n)
 
+    def in_range(self) -> bool:
+        """Whether p can be a probability: symbolic, or a constant in [0, 1]."""
+        return not self.p.is_constant() or 0 <= self.p.constant_value() <= 1
+
     def sample_array(self, streams: Sequence[np.random.Generator], size: int,
                      out: np.ndarray | None = None) -> np.ndarray:
         import numpy as np
@@ -109,7 +113,7 @@ class Bernoulli(MomentProvider):
         if not self.p.is_constant():
             raise UnsamplableProvider("Bernoulli with a symbolic probability cannot be sampled")
         pv = self.p.constant_value()
-        if pv < 0 or pv > 1:
+        if not self.in_range():
             raise UnsamplableProvider(f"Bernoulli probability {pv} is outside [0, 1]")
         draws = streams[0].random(size, out=out)
         return np.less(draws, float(pv), out=draws)  # 1.0 or 0.0 in place

@@ -332,6 +332,14 @@ def test_sampling_config_is_read_by_mc_only(monkeypatch, capsys):
         ("table", "deg-bernoulli", "--lambda", "1/0"),
         ("table", "sheffer-y", "--provider", "iid:uniform01:0"),
         ("mc", "thm3.1", "--lambda", "1/8", "--x", "1/4", "--seed", "-1"),
+        # one draw has no standard error
+        ("mc", "thm3.1", "--lambda", "1/8", "--x", "1/4", "--samples", "1"),
+        # a Bernoulli probability outside [0, 1], in every command and as a pin of ber:p
+        ("table", "sheffer-y", "--provider", "ber:2"),
+        ("table", "sheffer-y", "--provider", "ber:-1"),
+        ("table", "sheffer-y", "--provider", "iid:ber:2:2"),
+        ("mc", "thm3.1", "--provider", "ber:3/2", "--lambda", "1/8", "--x", "1/4"),
+        ("table", "sheffer-y", "--provider", "ber:p", "--p", "2"),
         ("table", "deg-bernoulli", "--config", "{config}"),
         ("table", "stirling1", "--n", "1", "--x", "5", "--lambda", "1/2", "--format", "json"),
         ("table", "stirling1", "--lambda", "1/2"),
@@ -414,7 +422,7 @@ def _mc_argv(draw) -> tuple[list[str], bool]:
 
     identity = draw(st.sampled_from(("thm3.1", "thm3.7")))
     argv = ["mc", identity, "--n", pick(("0", "1", "2", "3"), ("-1",)),
-            "--samples", pick(("1", "200", "1000"), ("0",)), "--seed", "7"]
+            "--samples", pick(("200", "1000"), ("0", "1")), "--seed", "7"]
     for flag in ("--lambda", "--x"):
         value = pick(("1/8", "1/4", "2/3"), ("1/0", "x", "nope", None))  # None: flag left out
         if value is not None:

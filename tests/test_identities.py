@@ -1,10 +1,15 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from degenpoly import (
     Bernoulli,
+    CustomMoments,
     IidSum,
     Poly,
     ShefferSequence,
@@ -14,9 +19,11 @@ from degenpoly import (
     Y,
     A,
     B,
+    LAM,
     ONE,
     P,
     ZERO,
+    Zero,
     expect_polynomial,
     falling_factorial,
     higher_bernoulli,
@@ -240,3 +247,104 @@ def test_first_powers_take_no_logarithm(monkeypatch):
     assert verify("thm2.4", max_n=5).equal
     assert [families.higher_euler(n, 1) for n in range(5)] == families.euler_polynomials(4)
     assert logs == []
+
+
+def test_verify_all_kernel_work_budget(monkeypatch):
+    # 4,172 calls and 133,235 term pairs when the series carried a spare coefficient
+    # and every expectation rebuilt the falling-factorial basis
+    for name in ("bernoulli_base", "euler_base", "stirling_first"):
+        getattr(families, name).cache_clear()
+    seen = {"calls": 0, "pairs": 0}
+    dot = poly.Poly.dot.__func__
+
+    def spy(cls, triples):
+        triples = list(triples)
+        seen["calls"] += 1
+        seen["pairs"] += sum(len(f.terms) * len(g.terms) for w, f, g in triples if w)
+        return dot(cls, triples)
+
+    monkeypatch.setattr(poly.Poly, "dot", classmethod(spy))
+    assert all(r.equal for r in verify_all(max_n=6))
+    assert seen["calls"] <= 0.7 * 4172, seen
+    assert seen["pairs"] <= 0.7 * 133235, seen
+
+
+_DIGESTS = json.loads((Path(__file__).parent / "verify_digests.json").read_text(encoding="utf-8"))
+
+
+def test_every_side_reproduces_its_recorded_values():
+    # verify prints only ok, so the values themselves are pinned by their digests
+    max_n = _DIGESTS["max_n"]
+    ws = identities.Workspace(max_n)
+    found = {}
+    for case_id in registered_ids():
+        for label, lhs, rhs in identities._REGISTRY[case_id].build(ws):
+            found[case_id if label is None else f"{case_id} [{label}]"] = {
+                side: hashlib.sha256(
+                    "\n".join(str(fn(n)) for n in range(max_n + 1)).encode()
+                ).hexdigest()
+                for side, fn in (("lhs", lhs), ("rhs", rhs))
+            }
+    assert found == _DIGESTS["instances"]
+
+
+def test_only_the_look_ahead_case_builds_the_higher_workspace():
+    ws = identities.Workspace(4)
+    for case_id in EXPECTED_IDS:
+        assert verify(case_id, max_n=4, workspace=ws).equal
+        assert (("ahead",) in ws._cache) == (case_id == "thm3.11-E"), case_id
+        ws._cache.pop(("ahead",), None)
+    assert ws.ahead().order == 5 and ws.ahead() is ws.ahead()
+
+
+def test_order_zero_checks_the_constant_terms():
+    reports = verify_all(max_n=0)
+    assert [r.id for r in reports] == EXPECTED_IDS and all(r.equal for r in reports)
+
+
+_ORDER = 5
+_EXPECT_WS = identities.Workspace(_ORDER)
+_HALF = Bernoulli(Fraction(1, 2))
+_EXPECT_PROVIDERS = (
+    Uniform01(),
+    _HALF,
+    Bernoulli(P),
+    IidSum(Uniform01(), 2),
+    IidSum(Uniform01(), 3),
+    IidSum(_HALF, 1),
+    IidSum(_HALF, 2),
+    IidSum(_HALF, 3),
+    Zero(),
+    CustomMoments([ONE, A, A * A - LAM, X + Fraction(1, 3), LAM * A - 2, A ** 3 + X]),
+)
+
+
+@st.composite
+def _polys_in_y(draw, order=_ORDER):
+    """Polynomials in λ, x, y and a with y-degree at most ``order``."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        exps = (draw(st.integers(0, 3)), draw(st.integers(0, 2)), draw(st.integers(0, order)),
+                draw(st.integers(0, 2)), 0, 0)
+        terms[exps] = draw(st.fractions(min_value=-4, max_value=4, max_denominator=6))
+    return Poly(terms)
+
+
+@pytest.mark.parametrize("provider", _EXPECT_PROVIDERS, ids=lambda p: p.label())
+@settings(max_examples=25, deadline=None)
+@given(p=_polys_in_y())
+def test_workspace_expect_matches_the_falling_basis(provider, p):
+    assert _EXPECT_WS.expect(p, provider) == expect_polynomial(p, provider)
+
+
+def test_workspace_expect_rejects_a_y_degree_past_the_order():
+    with pytest.raises(ValueError, match="past the workspace order"):
+        _EXPECT_WS.expect(Y ** (_ORDER + 1), Uniform01())
+
+
+def test_stirling_rows_expand_back_to_powers_of_y():
+    rows = identities.Workspace(8).stirling_rows()
+    assert len(rows) == 9
+    assert rows[2] == [ZERO, LAM, ONE]  # y^2 = (y)_2 + λ y
+    for j, row in enumerate(rows):
+        assert Poly.sum(c * falling_factorial(Y, k) for k, c in enumerate(row)) == Y ** j
