@@ -307,10 +307,10 @@ def _family_rows(args, config) -> tuple[list[dict], dict]:
             meta_params[var] = raw
             if var == "x":
                 at = _parse_poly(raw, var)
+            elif var == "p":  # the probability of ber:p
+                pins[var] = _check_probability(Bernoulli(_parse_rational(raw, var)), raw).p
             else:
                 pins[var] = _parse_poly(raw, var)
-    if "p" in pins:  # p is the probability of ber:p
-        _check_probability(Bernoulli(pins["p"]), args.p)
 
     # only json and latex print the LaTeX column
     with_latex = config["format"] in ("json", "latex")

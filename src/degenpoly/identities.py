@@ -12,13 +12,12 @@ cases share, so a full-registry run costs each of them once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from fnmatch import fnmatch
 from functools import reduce
 from math import comb, factorial
 from operator import mul
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .poly import Poly, ZERO, ONE, LAM, X, Y, A, B, P, as_poly
 from .series import Series
@@ -37,8 +36,7 @@ class UnknownIdentity(Exception):
     """No registered identity matches the requested id."""
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     n: int
     lhs: Poly
     rhs: Poly
@@ -49,8 +47,7 @@ class Mismatch:
         return self.lhs - self.rhs
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     id: str
     max_n: int
     equal: bool
@@ -61,8 +58,7 @@ SideFn = Callable[[int], Poly]
 Instance = tuple[str | None, SideFn, SideFn]
 
 
-@dataclass(frozen=True)
-class IdentityCase:
+class IdentityCase(NamedTuple):
     id: str
     description: str
     build: Callable[["Workspace"], list[Instance]]

@@ -15,9 +15,11 @@ a guard, so every exponent stays below ``DEGREE_LIMIT``; a product that
 would reach it raises ``DegreeLimitExceeded``.  Exponent tuples appear only
 at the view boundaries (``terms``, ``sorted_terms`` and the constructor).
 
-All term products go through ``Poly.dot``, which accumulates integer-weighted
-products over the common denominator and reduces once; all term additions go
-through ``Poly.sum``.
+Every product of two non-constant polynomials goes through ``Poly.dot``,
+which accumulates integer-weighted products over the common denominator and
+reduces once.  A rational scaling (by an ``int``, a ``Fraction`` or a
+constant) is one pass over the numerators.  All term additions go through
+``Poly.sum``.
 
 The canonical term order used for printing is graded lexicographic over the
 registry order (λ before x before y before a before b before p), highest
@@ -147,9 +149,7 @@ class Poly:
                 nums = {key: c // g for key, c in nums.items()}
                 den //= g
         self = object.__new__(cls)
-        self._nums = nums
-        self._den = den
-        self._hash = None
+        self._nums, self._den, self._hash = nums, den, None
         return self
 
     @classmethod
@@ -252,7 +252,7 @@ class Poly:
 
     @classmethod
     def dot(cls, triples: Iterable[tuple[int, "Poly", "Poly"]]) -> "Poly":
-        """The sum of ``w * f * g`` over integer-weighted pairs; all term products are here.
+        """The sum of ``w * f * g`` over integer-weighted pairs; all non-scalar products are here.
 
         Every product is accumulated over the common denominator of the
         pairs, and the result is reduced once.  A product key is the sum of
@@ -277,17 +277,43 @@ class Poly:
             raise DegreeLimitExceeded(f"a product reaches the degree limit {DEGREE_LIMIT}")
         return cls._make(out, den)
 
+    def _scale(self, num: int, den: int) -> "Poly":
+        """``self * num/den`` for a reduced ``num/den``, ``den`` ≥ 1, in one pass over the terms.
+
+        ``num`` can cancel only ``self._den``, and ``den`` only the numerators.
+        """
+        if not num or not self._nums:
+            return ZERO
+        g = gcd(num, self._den)
+        num, out_den, nums = num // g, self._den // g * den, self._nums
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                nums = {key: c // g for key, c in nums.items()}
+                out_den //= g
+        out = object.__new__(Poly)
+        out._nums, out._den, out._hash = {key: c * num for key, c in nums.items()}, out_den, None
+        return out
+
     def __mul__(self, other) -> "Poly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Poly.dot(((1, self, other),))
+        if isinstance(other, Poly):
+            if not other.is_constant():
+                if not self.is_constant():
+                    return Poly.dot(((1, self, other),))
+                self, other = other, self
+            return self._scale(other._nums.get(0, 0), other._den)
+        if isinstance(other, (int, Fraction)):
+            return self._scale(other.numerator, other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
+            if not other:
+                raise ZeroDivisionError(f"division of {self} by zero")
+            num, den = other.numerator, other.denominator
+            return self._scale(den, num) if num > 0 else self._scale(-den, -num)
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "Poly":

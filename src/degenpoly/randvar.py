@@ -12,9 +12,8 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .poly import Poly, PolyLike, ZERO, ONE, as_poly
 from .series import OrderExceeded, Series
@@ -32,7 +31,6 @@ class UnsamplableProvider(Exception):
     """The provider has no sampling rule (exact moments only)."""
 
 
-@dataclass(frozen=True)
 class MomentProvider:
     """Base for exact moment sequences; subclasses implement ``moment`` or ``mgf``.
 
@@ -45,10 +43,27 @@ class MomentProvider:
     each of them.  Its result is a new array when ``out`` is None; otherwise
     it is ``out[:size]``, and ``out`` holds ``buffers * size`` floats, the
     ones past ``size`` being scratch for the draws of i.i.d. copies.
+
+    A provider is immutable and compares and hashes by the fields its
+    constructor sets, so equal providers built apart share one cache entry.
     """
 
     columns = 1
     buffers = 1
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     def moment(self, n: int) -> Poly:
         """Exponential coefficient n of the moment series."""
@@ -66,7 +81,6 @@ class MomentProvider:
         return type(self).__name__.lower()
 
 
-@dataclass(frozen=True)
 class Uniform01(MomentProvider):
     """Uniform on [0, 1]: moments by exact termwise integration."""
 
@@ -88,7 +102,6 @@ def _integrate_unit_interval(p: Poly) -> Poly:
     return Poly.sum(c / (k + 1) for k, c in enumerate(slices) if c)
 
 
-@dataclass(frozen=True)
 class Bernoulli(MomentProvider):
     """Bernoulli with success probability p (a rational or the symbolic p)."""
 
@@ -122,16 +135,17 @@ class Bernoulli(MomentProvider):
         return f"ber({self.p})"
 
 
-@dataclass(frozen=True)
 class IidSum(MomentProvider):
     """Sum of m independent copies of a base provider."""
 
     base: MomentProvider
     m: int
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, base: MomentProvider, m: int):
+        if m < 1:
             raise ValueError("IidSum needs at least one copy")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "m", m)
 
     def mgf(self, order: int) -> Series:
         # independence: the moment series of the sum is the m-th power
@@ -164,7 +178,6 @@ class IidSum(MomentProvider):
         return f"iid({self.base.label()},{self.m})"
 
 
-@dataclass(frozen=True)
 class Zero(MomentProvider):
     """The random variable that is identically zero (no sampling rule)."""
 
@@ -175,7 +188,6 @@ class Zero(MomentProvider):
         return "zero"
 
 
-@dataclass(frozen=True)
 class CustomMoments(MomentProvider):
     """An explicit finite moment table; moment(n) is defined for n < len(table)."""
 
@@ -257,8 +269,7 @@ def expect_polynomial(p: Poly, provider: MomentProvider) -> Poly:
 CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     estimate: float
     std_error: float
     samples: int

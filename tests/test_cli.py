@@ -359,6 +359,11 @@ def test_sampling_config_is_read_by_mc_only(monkeypatch, capsys):
         # each value parses, but a product of the table passes the degree limit
         ("table", "falling-lambda", "--n", "3", "--x", f"x^{DEGREE_LIMIT // 2}"),
         ("table", "higher-euler", "--n", "2", "--b", f"b^{DEGREE_LIMIT - 1}"),
+        # --p pins a probability: a rational, never a polynomial
+        ("table", "sheffer-y", "--provider", "ber:p", "--p", "x"),
+        ("table", "sheffer-y", "--provider", "ber:p", "--p", "p"),
+        ("table", "sheffer-y", "--provider", "ber:p", "--p", "y"),
+        ("table", "sheffer-y", "--provider", "iid:ber:p:2", "--p", "x+1"),
     ],
 )
 def test_usage_errors_exit_2(argv, tmp_path, capsys):
@@ -474,21 +479,25 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_numpy_is_imported_by_mc_only():
-    # a fresh interpreter, because pytest or an earlier test may have imported numpy already
+    # a fresh interpreter, because pytest or an earlier test may have imported numpy already;
+    # dataclasses (and the inspect module it loads) is never imported, by any command
     script = """
 import contextlib, io, sys
 import degenpoly.cli
-loaded = ["numpy" in sys.modules]
+loaded = [("numpy" in sys.modules, "dataclasses" in sys.modules)]
 for argv in (["table", "deg-bernoulli", "--n", "3"], ["verify", "thm3.4", "--n", "2"],
              ["mc", "thm3.1", "--lambda", "1/8", "--x", "1/4", "--n", "2", "--samples", "2000"]):
     with contextlib.redirect_stdout(io.StringIO()):
-        loaded.append((degenpoly.cli.main(argv), "numpy" in sys.modules))
+        code = degenpoly.cli.main(argv)
+    loaded.append((code, "numpy" in sys.modules, "dataclasses" in sys.modules))
 print(loaded)
 """
     env = {**os.environ, "PYTHONPATH": str(_SRC)}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "[False, (0, False), (0, False), (0, True)]"
+    assert done.stdout.strip() == (
+        "[(False, False), (0, False, False), (0, False, False), (0, True, False)]"
+    )
 
 
 @pytest.mark.parametrize("provider", ["ber:3/2", "zero"])

@@ -250,8 +250,9 @@ def test_first_powers_take_no_logarithm(monkeypatch):
 
 
 def test_verify_all_kernel_work_budget(monkeypatch):
-    # 4,172 calls and 133,235 term pairs when the series carried a spare coefficient
-    # and every expectation rebuilt the falling-factorial basis
+    # 2,820 calls and 83,594 term pairs when a product by a rational or a constant
+    # ran through Poly.dot too (4,172 and 133,235 before that, when the series carried
+    # a spare coefficient and every expectation rebuilt the falling-factorial basis)
     for name in ("bernoulli_base", "euler_base", "stirling_first"):
         getattr(families, name).cache_clear()
     seen = {"calls": 0, "pairs": 0}
@@ -265,8 +266,8 @@ def test_verify_all_kernel_work_budget(monkeypatch):
 
     monkeypatch.setattr(poly.Poly, "dot", classmethod(spy))
     assert all(r.equal for r in verify_all(max_n=6))
-    assert seen["calls"] <= 0.7 * 4172, seen
-    assert seen["pairs"] <= 0.7 * 133235, seen
+    assert seen["calls"] <= 0.6 * 2820, seen
+    assert seen["pairs"] <= 0.8 * 83594, seen
 
 
 _DIGESTS = json.loads((Path(__file__).parent / "verify_digests.json").read_text(encoding="utf-8"))

@@ -229,6 +229,31 @@ def test_dot_matches_weighted_fraction_reference(pairs):
         assert hash(single) == hash(p * q)
 
 
+rationals = st.one_of(st.integers(-12, 12), st.fractions(-12, 12, max_denominator=12))
+
+
+@settings(max_examples=120, deadline=None)
+@given(polys(("λ", "x", "y", "a")), rationals)
+def test_scaling_matches_the_product_kernel(p, q):
+    # a rational scaling skips Poly.dot; it must still give the kernel's canonical pair
+    want = Poly.dot(((1, p, Poly.const(q)),))
+    for got in (p * q, q * p, p * Poly.const(q), Poly.const(q) * p):
+        assert (got._nums, got._den) == (want._nums, want._den)
+        assert_canonical(got)
+    if q:
+        got, want = p / q, Poly.dot(((1, p, Poly.const(1 / Fraction(q))),))
+        assert (got._nums, got._den) == (want._nums, want._den)
+        assert_canonical(got)
+
+
+@given(polys(("λ", "x", "y", "a")))
+def test_scaling_by_zero(p):
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            p / zero
+        assert p * zero == ZERO and (p * zero)._den == 1
+
+
 def test_dot_of_nothing_is_zero():
     for empty in (Poly.dot([]), Poly.dot([(0, X, Y)]), Poly.dot([(3, ZERO, X)])):
         assert empty == ZERO

@@ -109,6 +109,27 @@ def test_iid_sum_needs_copies():
         IidSum(Uniform01(), 0)
 
 
+def test_providers_compare_and_hash_by_value():
+    # the Workspace keys its caches by provider, and recipes build equal providers apart
+    u = Uniform01()
+    for make in (lambda: Bernoulli(Fraction(1, 2)), lambda: Bernoulli(P),
+                 lambda: IidSum(Uniform01(), 3), lambda: CustomMoments([1, 2])):
+        first, second = make(), make()
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert {first: 1}[second] == 1
+    assert Uniform01() != Zero()
+    assert IidSum(u, 2) != IidSum(u, 3)
+    assert Bernoulli(Fraction(1, 2)) != Bernoulli(Fraction(1, 3))
+    assert IidSum(u, 2) != IidSum(Bernoulli(P), 2)
+    assert Bernoulli(P) != P
+    for provider, field in ((Bernoulli(P), "p"), (IidSum(u, 2), "m"), (CustomMoments([1]), "table"),
+                            (u, "label")):
+        with pytest.raises(AttributeError):
+            setattr(provider, field, None)
+    assert IidSum(u, 2).m == 2 and Bernoulli(P).p == P
+
+
 def test_custom_moments_validation():
     with pytest.raises(ValueError):
         CustomMoments([Poly.const(2)])
