@@ -38,6 +38,18 @@ from .randvar import (
     independent_sum_moments,
     mc_estimate,
 )
-from .identities import Report, Mismatch, UnknownIdentity, registered_ids, verify, verify_all
 
 __version__ = "0.1.0"
+
+# The identity registry is loaded on first use (PEP 562): of the CLI's commands
+# only ``verify`` reads it, and ``python -m degenpoly.cli`` imports this package first.
+_IDENTITIES_NAMES = frozenset(
+    ("Report", "Mismatch", "UnknownIdentity", "registered_ids", "verify", "verify_all"))
+
+
+def __getattr__(name: str):
+    if name in _IDENTITIES_NAMES:
+        from . import identities
+
+        return getattr(identities, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,12 +6,21 @@ always serialized as num/den strings, never floats, so emitted JSON
 round-trips exactly.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
+
+``run`` is the process entry (the ``degenpoly`` script and ``python -m
+degenpoly.cli``): it calls ``main`` and then freezes the objects the process
+holds, so the interpreter's final collection at exit does not walk them;
+output flushing, ``atexit`` handlers and module teardown still run.  ``main``
+freezes nothing, so tests and library callers may call it in process.  Only
+``verify`` imports ``identities``, the registry; ``table`` and ``mc`` never
+load it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import os
@@ -23,7 +32,6 @@ from .poly import DegreeLimitExceeded, Poly, VAR_NAMES, ZERO, X
 from .series import OrderExceeded, Series
 from . import families
 from .families import FamilyId
-from . import identities
 from .randvar import (
     Bernoulli,
     IidSum,
@@ -346,9 +354,14 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import identities
+
     config = resolve_common(args)
     extra = [identities.broken_case()] if args.inject_fault else []
-    ids = identities.select_ids(args.patterns or None, extra)
+    try:
+        ids = identities.select_ids(args.patterns or None, extra)
+    except identities.UnknownIdentity as exc:
+        raise BadParams(str(exc)) from exc
     if not ids:
         raise BadParams(f"no identity matches {' '.join(args.patterns)}")
     reports = identities.verify_all(ids, max_n=config["n"], extra=extra)
@@ -390,6 +403,9 @@ def cmd_verify(args) -> int:
 
 _MC_FLAGS = {"provider": "--provider", "m": "--m", "l": "--l"}
 _MC_READS = {"thm3.1": {"provider"}, "thm3.7": {"m", "l"}}
+# the sampler builds one generator per uniform stream of the provider (about 1.5 KB and 40 µs
+# each) in every part before its first draw, so the stream count is bounded: about 6 MB a part
+MC_MAX_STREAMS = 4096
 
 
 def cmd_mc(args) -> int:
@@ -436,6 +452,9 @@ def cmd_mc(args) -> int:
         meta["m"] = m
         meta["l"] = l
 
+    if provider.columns > MC_MAX_STREAMS:
+        raise BadParams(f"mc samples at most {MC_MAX_STREAMS} uniform streams; "
+                        f"{provider.label()} needs {provider.columns}")
     result = mc_estimate(target, provider, point, samples, seed)
     exact_float = float(exact)
     if result.std_error > 0:
@@ -524,12 +543,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BadParams, identities.UnknownIdentity, UnsamplableProvider, OrderExceeded,
-            DegreeLimitExceeded) as exc:
+    except (BadParams, UnsamplableProvider, OrderExceeded, DegreeLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"run 'degenpoly {args.command} --help' for usage", file=sys.stderr)
         return 2
 
 
+def run() -> int:
+    """Process entry: ``main``, then no collection walk over what is left at exit."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

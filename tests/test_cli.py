@@ -1,7 +1,9 @@
 import contextlib
+import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,8 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from degenpoly import DEGREE_LIMIT, Poly, bernoulli_polynomials, euler_polynomials, sheffer_type, X
-from degenpoly.cli import FORMATS, main, parse_provider, poly_latex, BadParams, _FAMILY_NAMES
-from degenpoly.randvar import CHUNK, Bernoulli, IidSum, Uniform01, Zero
+from degenpoly.cli import (
+    FORMATS, MC_MAX_STREAMS, main, parse_provider, poly_latex, BadParams, _FAMILY_NAMES,
+)
+from degenpoly.randvar import CHUNK, Bernoulli, IidSum, McEstimate, Uniform01, Zero
 from degenpoly import LAM
 
 
@@ -480,24 +484,90 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 
 def test_numpy_is_imported_by_mc_only():
     # a fresh interpreter, because pytest or an earlier test may have imported numpy already;
-    # dataclasses (and the inspect module it loads) is never imported, by any command
+    # dataclasses (and the inspect module it loads) is never imported, by any command, and the
+    # identity registry only by verify, which runs last
     script = """
 import contextlib, io, sys
 import degenpoly.cli
-loaded = [("numpy" in sys.modules, "dataclasses" in sys.modules)]
-for argv in (["table", "deg-bernoulli", "--n", "3"], ["verify", "thm3.4", "--n", "2"],
-             ["mc", "thm3.1", "--lambda", "1/8", "--x", "1/4", "--n", "2", "--samples", "2000"]):
+def loaded():
+    return tuple(name in sys.modules for name in ("numpy", "dataclasses", "degenpoly.identities"))
+seen = [loaded()]
+for argv in (["table", "deg-bernoulli", "--n", "3"],
+             ["mc", "thm3.1", "--lambda", "1/8", "--x", "1/4", "--n", "2", "--samples", "2000"],
+             ["verify", "thm3.4", "--n", "2"]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = degenpoly.cli.main(argv)
-    loaded.append((code, "numpy" in sys.modules, "dataclasses" in sys.modules))
-print(loaded)
+    seen.append((code, *loaded()))
+print(seen)
 """
     env = {**os.environ, "PYTHONPATH": str(_SRC)}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == (
-        "[(False, False), (0, False, False), (0, False, False), (0, True, False)]"
+        "[(False, False, False), (0, False, False, False), (0, True, False, False),"
+        " (0, True, False, True)]"
     )
+
+
+def test_package_re_exports_the_identity_names():
+    import degenpoly
+    from degenpoly import Report, verify_all
+
+    assert verify_all is degenpoly.identities.verify_all
+    assert degenpoly.verify_all is degenpoly.identities.verify_all
+    assert Report is degenpoly.identities.Report
+    for name in ("Mismatch", "UnknownIdentity", "registered_ids", "verify"):
+        assert getattr(degenpoly, name) is getattr(degenpoly.identities, name)
+    with pytest.raises(AttributeError, match="no attribute 'select_ids'"):
+        degenpoly.select_ids
+
+
+def test_main_freezes_nothing(capsys):
+    assert gc.get_freeze_count() == 0
+    assert run(capsys, "table", "stirling1", "--n", "2")[0] == 0
+    assert run(capsys, "verify", "thm3.4", "--n", "2")[0] == 0
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("table", "stirling1", "--n", "3", "--format", "csv"), 0),
+        (("verify", "fault-injection", "thm3.4", "--inject-fault", "--n", "3"), 1),
+        (("verify", "nosuch"), 2),
+    ],
+)
+def test_process_entry_keeps_bytes_and_exit_code(argv, code, capsys):
+    expected = run(capsys, *argv)
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    done = subprocess.run([sys.executable, "-m", "degenpoly.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == expected
+    assert expected[0] == code
+    if code == 2:
+        assert done.stderr == ("error: no identity registered under 'nosuch'\n"
+                               "run 'degenpoly verify --help' for usage\n")
+
+
+def test_the_script_and_module_entry_is_run_and_it_freezes():
+    # Python 3.10 has no tomllib, so the script line is matched as text
+    pyproject = (_SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    [script] = re.findall(r'^degenpoly = "degenpoly\.cli:(\w+)"$', pyproject, re.MULTILINE)
+    cli_source = (_SRC / "degenpoly" / "cli.py").read_text(encoding="utf-8")
+    [module] = re.findall(r'^if __name__ == "__main__":\n    sys\.exit\((\w+)\(\)\)$',
+                          cli_source, re.MULTILINE)
+    assert script == module == "run"
+    probe = """
+import gc, sys
+import degenpoly.cli
+sys.argv = ["degenpoly", "table", "stirling1", "--n", "1"]
+code = degenpoly.cli.run()
+print(code, gc.get_freeze_count() > 0)
+"""
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0 True"
 
 
 @pytest.mark.parametrize("provider", ["ber:3/2", "zero"])
@@ -513,6 +583,33 @@ def test_mc_unsamplable_provider_fails_with_one_error_line(provider):
     assert done.stdout == ""
     assert [line.startswith("error:") for line in done.stderr.splitlines()].count(True) == 1
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, streams",
+    [
+        (("thm3.1", "--provider", "iid:ber:1/2:1000000"), 10**6),
+        (("thm3.1", "--provider", "iid:ber:1/2:100000000"), 10**8),
+        (("thm3.1", "--provider", "iid:iid:uniform01:64:65"), 64 * 65),
+        (("thm3.7", "--m", "5000", "--l", f"{MC_MAX_STREAMS + 1}"), MC_MAX_STREAMS + 1),
+        (("thm3.1", "--provider", f"iid:uniform01:{MC_MAX_STREAMS}"), MC_MAX_STREAMS),
+        (("thm3.7", "--m", "5000", "--l", f"{MC_MAX_STREAMS}"), MC_MAX_STREAMS),
+    ],
+)
+def test_mc_caps_the_stream_count(argv, streams, monkeypatch, capsys):
+    # the sampler builds one generator per stream, so it must not even start past the cap
+    sampled = []
+    monkeypatch.setattr("degenpoly.cli.mc_estimate",
+                        lambda target, provider, *rest: sampled.append(provider.columns)
+                        or McEstimate(0.0, 1.0, 2))
+    code, out, err = run(capsys, "mc", *argv, "--lambda", "1/8", "--x", "1/4")
+    if streams > MC_MAX_STREAMS:
+        assert (code, out, sampled) == (2, "", [])
+        [error] = [line for line in err.splitlines() if line.startswith("error:")]
+        assert error.startswith(f"error: mc samples at most {MC_MAX_STREAMS} uniform streams; ")
+        assert error.endswith(f" needs {streams}")
+    else:
+        assert sampled == [streams]
 
 
 def test_mc_peak_memory_is_bounded_by_the_chunk():
