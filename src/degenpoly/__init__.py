@@ -35,7 +35,6 @@ from .randvar import (
     Zero,
     expect_falling_basis,
     expect_polynomial,
-    independent_sum_moments,
     mc_estimate,
 )
 

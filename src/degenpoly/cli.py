@@ -148,8 +148,17 @@ def _check_probability(coin: Bernoulli, text: str) -> Bernoulli:
     return coin
 
 
+# a series read recurses through each nested i.i.d. sum, so the nesting is bounded
+MAX_IID_NESTING = 32
+
+
 def parse_provider(spec: str) -> MomentProvider:
-    """Provider specs: uniform01 | zero | ber:<p> | iid:<base spec>:<m>."""
+    """Provider specs: uniform01 | zero | ber:<p> | iid:<base spec>:<m>.
+
+    ``iid:`` nests at most MAX_IID_NESTING deep; a deeper spec is refused before it is parsed.
+    """
+    if spec.startswith("iid:" * (MAX_IID_NESTING + 1)):
+        raise BadParams(f"iid specs nest at most {MAX_IID_NESTING} deep")
     if spec == "uniform01":
         return Uniform01()
     if spec == "zero":
@@ -286,8 +295,8 @@ def _has_symbolic_p(provider: MomentProvider) -> bool:
     return isinstance(provider, Bernoulli) and "p" in provider.p.variables()
 
 
-def _family_series(args, at: Poly, order: int, meta_params: dict[str, str]) -> Series:
-    """The generating series of a series-built family, truncated at ``order``."""
+def _family_series(args, at: Poly, meta_params: dict[str, str]) -> Series:
+    """The generating series of a series-built family."""
     if args.family == _SHEFFER_Y:
         if args.provider is None:
             raise BadParams("family sheffer-y needs --provider")
@@ -295,10 +304,10 @@ def _family_series(args, at: Poly, order: int, meta_params: dict[str, str]) -> S
         if args.p is not None and not _has_symbolic_p(provider):
             raise BadParams(f"sheffer-y with provider {args.provider} takes no --p")
         meta_params["provider"] = args.provider
-        return ShefferSequence(provider, order).series(at)
+        return ShefferSequence(provider).series(at)
     a, b = [_order_param(getattr(args, e), e, meta_params) if isinstance(e, str) else e
             for e in _HYBRID_ORDERS[args.family]]
-    return families.sheffer_type_series(a, b, at, order)
+    return families.sheffer_type_series(a, b, at)
 
 
 def _family_rows(args, config) -> tuple[list[dict], dict]:
@@ -331,8 +340,7 @@ def _family_rows(args, config) -> tuple[list[dict], dict]:
                 if with_latex:
                     rows[-1]["latex"] = _latex_fraction(value)
     else:
-        # coefficient n of a series depends only on coefficients <= n: order n_max suffices
-        series = _family_series(args, at, n_max, meta_params)
+        series = _family_series(args, at, meta_params)
         for n, value in enumerate(series.egf_coefficients(n_max)):
             value = value.substitute(pins) if pins else value
             rows.append({"n": n, "value": str(value)})
@@ -422,7 +430,6 @@ def cmd_mc(args) -> int:
         raise BadParams("--samples must be at least 2, so the standard error is defined")
     if seed < 0:
         raise BadParams("--seed must be non-negative")
-    order = max(n, 1)
 
     point = {"λ": lam_v, "x": x_v}
     meta: dict = {
@@ -436,7 +443,7 @@ def cmd_mc(args) -> int:
     }
     if args.identity == "thm3.1":
         provider = parse_provider(args.provider if args.provider is not None else "uniform01")
-        target = ShefferSequence(provider, order).polynomial(n, X + Poly.var("y"))
+        target = ShefferSequence(provider).polynomial(n, X + Poly.var("y"))
         exact = families.falling_factorial(X, n).evaluate(point)
         meta["provider"] = provider.label()
     else:  # thm3.7
@@ -446,7 +453,7 @@ def cmd_mc(args) -> int:
             raise BadParams("thm3.7 needs integers m >= l >= 1")
         outer = IidSum(Bernoulli(Fraction(1, 2)), m)
         provider = IidSum(Bernoulli(Fraction(1, 2)), l)
-        target = ShefferSequence(outer, order).polynomial(n, X + Poly.var("y"))
+        target = ShefferSequence(outer).polynomial(n, X + Poly.var("y"))
         exact = families.higher_euler(n, m - l, X).evaluate(point)
         meta["provider"] = provider.label()
         meta["m"] = m

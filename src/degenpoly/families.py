@@ -10,7 +10,8 @@ Each family's values are the exponential coefficients of its series.
 
 Only the two base series (``bernoulli_base``, ``euler_base``) and
 ``stirling_first`` are cached, behind ``functools.lru_cache`` for the life
-of the process; everything else is rebuilt on each call, and the identity
+of the process; a base is one lazy series that every caller extends as far
+as it reads.  Everything else is rebuilt on each call, and the identity
 checker's ``Workspace`` holds what its cases share.
 """
 
@@ -19,7 +20,6 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import factorial
 from operator import mul
 
 from .poly import Poly, PolyLike, ZERO, ONE, LAM, Y, as_poly
@@ -56,65 +56,61 @@ def falling_factorial(base: PolyLike, n: int) -> Poly:
     return out
 
 
-def degenerate_exp(base: PolyLike, order: int) -> Series:
+def degenerate_exp(base: PolyLike) -> Series:
     """The series whose exponential coefficients are the falling factorials of ``base``.
 
-    Reduces to the ordinary exponential of base*t when λ is set to 0.
+    Coefficient n is coefficient n − 1 times (base − (n−1)λ)/n.  Reduces to
+    the ordinary exponential of base*t when λ is set to 0.
     """
     base = as_poly(base)
-    terms = [ONE]
-    for n in range(1, order + 1):
-        terms.append(terms[-1] * (base - LAM * (n - 1)))
-    return Series(t / factorial(n) for n, t in enumerate(terms))
+    return Series([ONE], lambda out: out[-1] * (base - LAM * (len(out) - 1)) / len(out))
 
 
 @lru_cache(maxsize=None)
-def bernoulli_base(order: int) -> Series:
+def bernoulli_base() -> Series:
     """t divided by (the degenerate exponential of 1, minus 1), as a series."""
-    e1 = degenerate_exp(ONE, order + 1)
-    return (e1 - Series.one(order + 1)).div_t().reciprocal()
+    return (degenerate_exp(ONE) - Series([ONE])).div_t().reciprocal()
 
 
 @lru_cache(maxsize=None)
-def euler_base(order: int) -> Series:
+def euler_base() -> Series:
     """2 divided by (the degenerate exponential of 1, plus 1), as a series."""
-    e1 = degenerate_exp(ONE, order)
-    return ((e1 + Series.one(order)) * Fraction(1, 2)).reciprocal()
+    return ((degenerate_exp(ONE) + Series([ONE])) * Fraction(1, 2)).reciprocal()
 
 
-def sheffer_type_series(a_param: PolyLike, b_param: PolyLike, at: PolyLike, order: int) -> Series:
+def sheffer_type_series(a_param: PolyLike, b_param: PolyLike, at: PolyLike) -> Series:
     """(B^a · E^b) · e_λ^at: the one series builder; a base whose order is 0 is left out."""
     powers = [
-        base(order).pow(e)
+        base().pow(e)
         for base, e in ((bernoulli_base, a_param), (euler_base, b_param))
         if as_poly(e)
     ]
-    return reduce(mul, powers + [degenerate_exp(at, order)])
+    return reduce(mul, powers + [degenerate_exp(at)])
 
 
-def bernoulli_series(at: PolyLike, order: int) -> Series:
-    return sheffer_type_series(1, 0, at, order)
+def bernoulli_series(at: PolyLike) -> Series:
+    return sheffer_type_series(1, 0, at)
 
 
-def euler_series(at: PolyLike, order: int) -> Series:
-    return sheffer_type_series(0, 1, at, order)
+def euler_series(at: PolyLike) -> Series:
+    return sheffer_type_series(0, 1, at)
 
 
 def bernoulli_polynomials(n_max: int, at: PolyLike = ZERO) -> list[Poly]:
     """Degenerate Bernoulli values for n = 0..n_max, from the generating series."""
-    return bernoulli_series(at, n_max).egf_coefficients(n_max)
+    return bernoulli_series(at).egf_coefficients(n_max)
 
 
 def euler_polynomials(n_max: int, at: PolyLike = ZERO) -> list[Poly]:
-    return euler_series(at, n_max).egf_coefficients(n_max)
+    return euler_series(at).egf_coefficients(n_max)
 
 
 def bernoulli_deg(n: int, at: PolyLike = ZERO) -> Poly:
-    return bernoulli_series(at, n).egf_coefficient(n)
+    return bernoulli_series(at).egf_coefficient(n)
 
 
 def euler_deg(n: int, at: PolyLike = ZERO) -> Poly:
-    return euler_series(at, n).egf_coefficient(n)
+    return euler_series(at).egf_coefficient(n)
 
 
 def higher_bernoulli(n: int, order_param: PolyLike, at: PolyLike = ZERO) -> Poly:
@@ -126,7 +122,7 @@ def higher_euler(n: int, order_param: PolyLike, at: PolyLike = ZERO) -> Poly:
 
 
 def sheffer_type(n: int, a_param: PolyLike, b_param: PolyLike, at: PolyLike = ZERO) -> Poly:
-    return sheffer_type_series(a_param, b_param, at, n).egf_coefficient(n)
+    return sheffer_type_series(a_param, b_param, at).egf_coefficient(n)
 
 
 @lru_cache(maxsize=None)

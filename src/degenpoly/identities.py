@@ -65,11 +65,11 @@ class IdentityCase(NamedTuple):
 
 
 class Workspace:
-    """Cache of what the identity recipes share, through coefficient ``order``.
+    """Cache of what the identity recipes share; its value lists run through index ``order``.
 
-    It owns the series, the B^e1 · E^e2 factors, the providers' moments, the
-    Stirling table that turns those into ordinary moments E[Y^j], and the
-    look-ahead: a Workspace one order higher, made when a recipe reads past.
+    It owns the series, the B^e1 · E^e2 factors, the providers' moments and
+    the Stirling table that turns those into ordinary moments E[Y^j].  The
+    series are lazy, so a recipe that reads past ``order`` extends them.
     """
 
     def __init__(self, order: int):
@@ -85,12 +85,8 @@ class Workspace:
             self._cache[key] = value
         return value
 
-    def ahead(self) -> "Workspace":
-        """The Workspace of order ``order + 1``, made on first use."""
-        return self._get(("ahead",), lambda: Workspace(self.order + 1))
-
     def exp_of(self, base: Poly) -> Series:
-        return self._get(("exp", base), lambda: families.degenerate_exp(base, self.order))
+        return self._get(("exp", base), lambda: families.degenerate_exp(base))
 
     def power(self, base: Series, e: Poly) -> Series:
         """A base series raised to a (possibly symbolic) order, formed once."""
@@ -106,7 +102,7 @@ class Workspace:
 
         def factor():
             powers = [
-                self.power(base(self.order), e)
+                self.power(base(), e)
                 for base, e in ((families.bernoulli_base, e1), (families.euler_base, e2))
                 if e
             ]
@@ -141,7 +137,7 @@ class Workspace:
         def make():
             if isinstance(provider, IidSum):
                 return self.mgf(provider.base).pow_int(provider.m)
-            return provider.mgf(self.order)
+            return provider.mgf()
 
         return self._get(("mgf", provider), make)
 
@@ -252,10 +248,7 @@ def verify(
 ) -> Report:
     """Check one identity, a registered id or a case, for n = 0..max_n; exact comparison.
 
-    The series are built at order max_n, since coefficient n of a series
-    depends only on the coefficients up to n; ``workspace`` is reused when
-    its order reaches max_n.  A recipe that reads one index further takes it
-    from the workspace's look-ahead.
+    ``workspace`` is reused when its value lists reach max_n.
     """
     case = case_id if isinstance(case_id, IdentityCase) else _REGISTRY.get(case_id)
     if case is None:
@@ -306,13 +299,13 @@ def _convolution(left: list[Poly], right: list[Poly]) -> SideFn:
     return side
 
 
-def _stirling_weights(m: int, order: int) -> list[Poly]:
-    """λ^j * S1(j+m, m) / C(j+m, m) for j = 0..order, the weights of thm3.5 and thm3.6."""
+def _stirling_weights(m: int, n_max: int) -> list[Poly]:
+    """λ^j * S1(j+m, m) / C(j+m, m) for j = 0..n_max, the weights of thm3.5 and thm3.6."""
     return [
         LAM ** j
         * families.stirling_first(j + m, m)
         * Fraction(factorial(j) * factorial(m), factorial(j + m))
-        for j in range(order + 1)
+        for j in range(n_max + 1)
     ]
 
 
@@ -561,10 +554,12 @@ def _thm311_b(ws: Workspace) -> list[Instance]:
 @_case("thm3.11-E", "Euler-power addition formula through Bernoulli polynomials")
 def _thm311_e(ws: Workspace) -> list[Instance]:
     total = ws.higher_euler(B, X + Y)
-    # step k reads index k + 1, one past the order for k = order
-    he = ws.ahead().higher_euler(B, Y)
-    he_low = ws.ahead().higher_euler(B - ONE, Y)
-    steps = [(he_low[k + 1] - he[k + 1]) * Fraction(2, k + 1) for k in range(ws.order + 1)]
+    # step k reads index k + 1, one past the workspace's lists for k = order
+    euler = families.euler_base()
+    he = ws.power(euler, B) * ws.exp_of(Y)
+    he_low = ws.power(euler, B - ONE) * ws.exp_of(Y)
+    steps = [(he_low.egf_coefficient(k + 1) - he.egf_coefficient(k + 1)) * Fraction(2, k + 1)
+             for k in range(ws.order + 1)]
     rhs = _convolution(steps, ws.bernoulli(X))
     return [(None, total.__getitem__, rhs)]
 
@@ -572,10 +567,6 @@ def _thm311_e(ws: Workspace) -> list[Instance]:
 @_case("eq50-volkenborn", "uniform-variable family equals the log-over-difference generating series")
 def _eq50(ws: Workspace) -> list[Instance]:
     mine = ws.sheffer(_UNIFORM, X)
-    log_one_plus_t = Series([ONE, ONE] + [ZERO] * ws.order).log()
-    closed = (
-        log_one_plus_t.div_t().scale_t(LAM)
-        * families.bernoulli_base(ws.order)
-        * ws.exp_of(X)
-    )
+    log_one_plus_t = Series([ONE, ONE]).log()
+    closed = log_one_plus_t.div_t().scale_t(LAM) * families.bernoulli_base() * ws.exp_of(X)
     return [(None, mine.__getitem__, closed.egf_coefficient)]

@@ -67,11 +67,11 @@ class MomentProvider:
 
     def moment(self, n: int) -> Poly:
         """Exponential coefficient n of the moment series."""
-        return self.mgf(n).egf_coefficient(n)
+        return self.mgf().egf_coefficient(n)
 
-    def mgf(self, order: int) -> Series:
+    def mgf(self) -> Series:
         """The moment series: exponential coefficient n is moment(n)."""
-        return Series.from_egf(self.moment, order)
+        return Series.from_egf(self.moment)
 
     def sample_array(self, streams: Sequence[np.random.Generator], size: int,
                      out: np.ndarray | None = None) -> np.ndarray:
@@ -84,9 +84,9 @@ class MomentProvider:
 class Uniform01(MomentProvider):
     """Uniform on [0, 1]: moments by exact termwise integration."""
 
-    def mgf(self, order: int) -> Series:
+    def mgf(self) -> Series:
         # coefficient n of e_λ^y(t) is (y)_{n,λ}/n!, and its integral over [0, 1] is moment(n)/n!
-        return degenerate_exp(Poly.var("y"), order).map_coefficients(_integrate_unit_interval)
+        return degenerate_exp(Poly.var("y")).map_coefficients(_integrate_unit_interval)
 
     def sample_array(self, streams: Sequence[np.random.Generator], size: int,
                      out: np.ndarray | None = None) -> np.ndarray:
@@ -147,9 +147,9 @@ class IidSum(MomentProvider):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "m", m)
 
-    def mgf(self, order: int) -> Series:
+    def mgf(self) -> Series:
         # independence: the moment series of the sum is the m-th power
-        return self.base.mgf(order).pow_int(self.m)
+        return self.base.mgf().pow_int(self.m)
 
     @property
     def columns(self) -> int:
@@ -207,11 +207,6 @@ class CustomMoments(MomentProvider):
         return f"custom[{len(self.table)}]"
 
 
-def independent_sum_moments(first: MomentProvider, second: MomentProvider, n_max: int) -> CustomMoments:
-    """Moment table of the sum of two independent variables: their moment series multiply."""
-    return CustomMoments((first.mgf(n_max) * second.mgf(n_max)).egf_coefficients(n_max))
-
-
 # -- the induced polynomial family ------------------------------------------------
 
 
@@ -219,13 +214,12 @@ class ShefferSequence:
     """Polynomials whose generating series is the degenerate exponential of x
     divided by the provider's moment series."""
 
-    def __init__(self, provider: MomentProvider, order: int):
+    def __init__(self, provider: MomentProvider):
         self.provider = provider
-        self.order = order
-        self.inverse_mgf = provider.mgf(order).reciprocal()
+        self.inverse_mgf = provider.mgf().reciprocal()
 
     def series(self, at: PolyLike) -> Series:
-        return self.inverse_mgf * degenerate_exp(at, self.order)
+        return self.inverse_mgf * degenerate_exp(at)
 
     def polynomial(self, n: int, at: PolyLike) -> Poly:
         return self.series(at).egf_coefficient(n)
@@ -302,12 +296,6 @@ def _chunk_draws(provider: MomentProvider, samples: int, seed: int,
         size = min(CHUNK, samples - start)
         draws = provider.sample_array(streams, size, buffer[:provider.buffers * size])
         yield draws, buffer[size:2 * size]
-
-
-def sample_chunks(provider: MomentProvider, samples: int, seed: int) -> Iterator[np.ndarray]:
-    """The provider's ``samples`` draws, in order, as arrays of at most CHUNK values."""
-    for draws, _ in _chunk_draws(provider, samples, seed, 0, -(-samples // CHUNK)):
-        yield draws.copy()
 
 
 def _chunk_moments(chunks: Iterable[tuple[np.ndarray, np.ndarray]],

@@ -7,14 +7,19 @@ alternating-power composition formula, binomial series from the explicit
 product, polynomial ring operations from a plain map of ``Fraction``
 coefficients, and Monte-Carlo draws from one generator in copy-major
 order.  Expected values asserted in the tests were computed with these.
+
+The last two helpers are not oracles: ``independent_sum_moments`` and
+``sample_chunks`` call the library and only tests read them.
 """
 
 from fractions import Fraction
 from math import comb, factorial
 
 from degenpoly import (
-    Bernoulli, IidSum, Poly, Series, Uniform01, ONE, ZERO, X, A, falling_factorial,
+    Bernoulli, CustomMoments, IidSum, MomentProvider, Poly, Series, Uniform01, ONE, ZERO, X, A,
+    falling_factorial,
 )
+from degenpoly.randvar import CHUNK, _chunk_draws
 
 
 def classical_bernoulli(n_max: int) -> list[Poly]:
@@ -75,25 +80,25 @@ def euler_numbers_rec(n_max: int) -> list[Poly]:
     return out
 
 
-def log_by_composition(series: Series) -> Series:
-    """log F as sum_{k>=1} (-1)^(k-1) (F-1)^k / k, truncated."""
-    u = series - Series.one(series.order)
-    total = Series.constant(ZERO, series.order)
-    power = Series.one(series.order)
-    for k in range(1, series.order + 1):
+def log_by_composition(series: Series, n_max: int) -> list[Poly]:
+    """Exponential coefficients 0..n_max of log F, as sum_{k>=1} (-1)^(k-1) (F-1)^k / k."""
+    u = series - Series([ONE])
+    total = Series([ZERO])
+    power = Series([ONE])
+    for k in range(1, n_max + 1):
         power = power * u
         total = total + power * Fraction((-1) ** (k - 1), k)
-    return total
+    return total.egf_coefficients(n_max)
 
 
-def exp_by_powers(series: Series) -> Series:
-    """exp u as sum_k u^k / k!, truncated."""
-    total = Series.one(series.order)
-    power = Series.one(series.order)
-    for k in range(1, series.order + 1):
+def exp_by_powers(series: Series, n_max: int) -> list[Poly]:
+    """Exponential coefficients 0..n_max of exp u, as sum_k u^k / k!."""
+    total = Series([ONE])
+    power = Series([ONE])
+    for k in range(1, n_max + 1):
         power = power * series
         total = total + power * Fraction(1, factorial(k))
-    return total
+    return total.egf_coefficients(n_max)
 
 
 # The Fraction-dict polynomial kernel: a term map from exponent tuples to
@@ -141,3 +146,14 @@ def copy_major_draws(provider, rng, size: int):
         return (uniform < float(provider.p.constant_value())).astype(float)
     assert isinstance(provider, Uniform01)
     return uniform
+
+
+def independent_sum_moments(first: MomentProvider, second: MomentProvider, n_max: int) -> CustomMoments:
+    """Moment table of the sum of two independent variables: their moment series multiply."""
+    return CustomMoments((first.mgf() * second.mgf()).egf_coefficients(n_max))
+
+
+def sample_chunks(provider: MomentProvider, samples: int, seed: int):
+    """The provider's ``samples`` draws, in order, as arrays of at most CHUNK values."""
+    for draws, _ in _chunk_draws(provider, samples, seed, 0, -(-samples // CHUNK)):
+        yield draws.copy()

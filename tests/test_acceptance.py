@@ -81,8 +81,8 @@ def test_criterion_2_oracle_equivalence():
         bern[n] == bernoulli_rec[n] and euler[n] == euler_rec[n]
         for n in range(31)
     )
-    log = Series([ONE, ONE] + [ZERO] * 19).log()
-    power = Series.one(20)
+    log = Series([ONE, ONE]).log()
+    power = Series([ONE])
     stirling_agree = True
     for k in range(21):
         for n in range(k, 21):
@@ -129,16 +129,16 @@ def test_criterion_4_full_identity_registry():
 def test_criterion_5_random_variable_layer():
     ok = True
     for provider in (Uniform01(), Bernoulli(Fraction(1, 2)), Bernoulli(P)):
-        seq = ShefferSequence(provider, 8)
+        seq = ShefferSequence(provider)
         for n in range(9):
             if expect_polynomial(seq.polynomial(n, X + Y), provider) != falling_factorial(X, n):
                 ok = False
     coin = Bernoulli(Fraction(1, 2))
     euler = euler_polynomials(10, X)
-    if ShefferSequence(coin, 10).polynomials(10, X) != euler:
+    if ShefferSequence(coin).polynomials(10, X) != euler:
         ok = False
     for m in range(1, 6):
-        seq = ShefferSequence(IidSum(coin, m), 10)
+        seq = ShefferSequence(IidSum(coin, m))
         for n in range(11):
             if seq.polynomial(n, X) != higher_euler(n, m, X):
                 ok = False
@@ -152,9 +152,9 @@ def test_criterion_5_random_variable_layer():
 
 def test_criterion_6_volkenborn_cross_check():
     n = 10
-    seq = ShefferSequence(Uniform01(), n)
-    log_factor = Series([ONE, ONE] + [ZERO] * n).log().div_t().scale_t(LAM)
-    closed = log_factor * bernoulli_base(n) * degenerate_exp(X, n)
+    seq = ShefferSequence(Uniform01())
+    log_factor = Series([ONE, ONE]).log().div_t().scale_t(LAM)
+    closed = log_factor * bernoulli_base() * degenerate_exp(X)
     ok = all(seq.polynomial(k, X) == closed.egf_coefficient(k) for k in range(n + 1))
     ok = ok and seq.polynomial(1, X) == X - Fraction(1, 2)
     _report(6, "uniform-variable family equals its closed-form series to n=10, exact", ok)
@@ -165,7 +165,7 @@ def test_criterion_7_monte_carlo_smoke(capsys):
     provider = Uniform01()
     passes = 0
     for n in (1, 2, 3):
-        target = ShefferSequence(provider, n).polynomial(n, X + Y)
+        target = ShefferSequence(provider).polynomial(n, X + Y)
         exact = float(falling_factorial(X, n).evaluate(point))
         result = mc_estimate(target, provider, point, 100_000, seed=42)
         z = (result.estimate - exact) / result.std_error

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from degenpoly import DEGREE_LIMIT, Poly, bernoulli_polynomials, euler_polynomials, sheffer_type, X
 from degenpoly.cli import (
-    FORMATS, MC_MAX_STREAMS, main, parse_provider, poly_latex, BadParams, _FAMILY_NAMES,
+    FORMATS, MAX_IID_NESTING, MC_MAX_STREAMS, main, parse_provider, poly_latex, BadParams,
+    _FAMILY_NAMES,
 )
 from degenpoly.randvar import CHUNK, Bernoulli, IidSum, McEstimate, Uniform01, Zero
 from degenpoly import LAM
@@ -268,6 +269,32 @@ def test_provider_specs():
         parse_provider("gaussian")
 
 
+def _nested_iid(depth: int, copies: int) -> str:
+    return "iid:" * depth + "ber:1/2" + f":{copies}" * depth
+
+
+_NESTED_COMMANDS = {
+    "table": ("table", "sheffer-y", "--n", "2"),
+    "mc": ("mc", "thm3.1", "--lambda", "1/8", "--x", "1/4", "--samples", "100"),
+}
+
+
+@pytest.mark.parametrize("depth", [MAX_IID_NESTING + 1, 5000])
+@pytest.mark.parametrize("command", _NESTED_COMMANDS)
+def test_a_provider_nested_too_deep_is_a_usage_error(command, depth, capsys):
+    code, out, err = run(capsys, *_NESTED_COMMANDS[command], "--provider", _nested_iid(depth, 1))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == f"error: iid specs nest at most {MAX_IID_NESTING} deep"
+    assert [line.startswith("error:") for line in err.splitlines()].count(True) == 1
+
+
+def test_a_provider_nested_to_the_bound_is_read(capsys):
+    spec = _nested_iid(MAX_IID_NESTING, 2)
+    assert parse_provider(spec).columns == 2 ** MAX_IID_NESTING
+    code, out, _ = run(capsys, "table", "sheffer-y", "--n", "2", "--provider", spec)
+    assert code == 0 and len(out.splitlines()) == 4
+
+
 def test_config_precedence(tmp_path, monkeypatch, capsys):
     config = tmp_path / "degenpoly.conf"
     config.write_text("format=csv\nn=2\n# comment\n", encoding="utf-8")
@@ -304,7 +331,7 @@ def test_config_file_errors(tmp_path, capsys):
     code, _, err = run(capsys, "table", "deg-bernoulli", "--config", str(undecodable))
     assert code == 2
     assert "cannot read config file" in err
-    # order is not a key: the truncation order follows from n
+    # order is not a key: a series extends itself as far as it is read
     removed = tmp_path / "order.conf"
     removed.write_text("order=16\n", encoding="utf-8")
     code, _, err = run(capsys, "table", "deg-bernoulli", "--config", str(removed))

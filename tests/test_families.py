@@ -60,8 +60,8 @@ def test_falling_factorial_basics():
 
 
 def test_degenerate_exp_basics():
-    assert degenerate_exp(ZERO, 5) == Series.one(5)
-    assert degenerate_exp(ONE, 5).coefficient(2) == (ONE - LAM) / 2
+    assert degenerate_exp(ZERO).egf_coefficients(5) == Series([ONE]).egf_coefficients(5)
+    assert degenerate_exp(ONE).coefficient(2) == (ONE - LAM) / 2
 
 
 def test_bernoulli_golden_values():
@@ -187,8 +187,8 @@ def test_stirling_first_bounds():
 
 def test_stirling_matches_log_power_series():
     n_max = 20
-    log = Series([ONE, ONE] + [ZERO] * (n_max - 1)).log()
-    power = Series.one(n_max)
+    log = Series([ONE, ONE]).log()
+    power = Series([ONE])
     for k in range(n_max + 1):
         for n in range(k, n_max + 1):
             expected = power.egf_coefficient(n) / factorial(k)
@@ -211,23 +211,54 @@ def test_falling_basis_of_plain_falling_factorial():
     assert coeffs == [ZERO, ZERO, ZERO, ONE]
 
 
+_LAZY_BUILDERS = {
+    "degenerate_exp": lambda: degenerate_exp(X),
+    "bernoulli": lambda: families.bernoulli_series(X),
+    "euler": lambda: families.euler_series(X),
+    "higher_bernoulli": lambda: families.sheffer_type_series(A, 0, X),
+    "higher_euler": lambda: families.sheffer_type_series(0, B, X),
+    "sheffer_type": lambda: families.sheffer_type_series(A, B, X),
+    "uniform01": lambda: ShefferSequence(Uniform01()).series(X),
+    "ber:p": lambda: ShefferSequence(Bernoulli(P)).series(X),
+    "iid:ber:1/2:2": lambda: ShefferSequence(IidSum(Bernoulli(half), 2)).series(X),
+}
+
+
+def _clear_base_caches():
+    for name in ("bernoulli_base", "euler_base"):
+        getattr(families, name).cache_clear()
+
+
 def test_coefficients_up_to_n_do_not_depend_on_the_order():
-    # the CLI builds every series at the order its n needs; a longer series adds nothing below n
-    builders = {
-        "degenerate_exp": lambda order: degenerate_exp(X, order),
-        "bernoulli": lambda order: families.bernoulli_series(X, order),
-        "euler": lambda order: families.euler_series(X, order),
-        "higher_bernoulli": lambda order: families.sheffer_type_series(A, 0, X, order),
-        "higher_euler": lambda order: families.sheffer_type_series(0, B, X, order),
-        "sheffer_type": lambda order: families.sheffer_type_series(A, B, X, order),
-        "uniform01": lambda order: ShefferSequence(Uniform01(), order).series(X),
-        "ber:p": lambda order: ShefferSequence(Bernoulli(P), order).series(X),
-        "iid:ber:1/2:2": lambda order: ShefferSequence(IidSum(Bernoulli(half), 2), order).series(X),
-    }
-    for name, build in builders.items():
+    # a series extends as it is read: reading n_max first, or one index at a time, or
+    # reading a shared base further first, gives the same values below n
+    n_max = 6
+    for name, build in _LAZY_BUILDERS.items():
+        _clear_base_caches()
+        deepest_first = build()
+        deepest_first.coefficient(n_max)
+        expected = deepest_first.egf_coefficients(n_max)
+        _clear_base_caches()
+        ascending = build()
+        assert [ascending.egf_coefficient(n) for n in range(n_max + 1)] == expected, name
         for n in range(5):
-            minimal = build(n).egf_coefficients(n)
-            assert minimal == build(n + 3).egf_coefficients(n), (name, n)
+            assert build().egf_coefficients(n) == expected[:n + 1], (name, n)
+
+
+def test_a_second_read_makes_no_product(monkeypatch):
+    n_max = 6
+    built = {name: build() for name, build in _LAZY_BUILDERS.items()}
+    first = {name: series.egf_coefficients(n_max) for name, series in built.items()}
+    calls = []
+    dot = Poly.dot.__func__
+
+    def spy(cls, triples):
+        calls.append(1)
+        return dot(cls, triples)
+
+    monkeypatch.setattr(Poly, "dot", classmethod(spy))
+    assert {name: series.egf_coefficients(n_max) for name, series in built.items()} == first
+    assert calls == []
 
 
 def test_family_id_covers_cli_names():

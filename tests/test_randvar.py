@@ -29,13 +29,12 @@ from degenpoly import (
     expect_polynomial,
     falling_factorial,
     higher_euler,
-    independent_sum_moments,
     mc_estimate,
 )
 from degenpoly.families import bernoulli_base, degenerate_exp
 from degenpoly import randvar
-from degenpoly.randvar import CHUNK, McEstimate, sample_chunks
-from oracles import copy_major_draws
+from degenpoly.randvar import CHUNK, McEstimate
+from oracles import copy_major_draws, independent_sum_moments, sample_chunks
 
 half = Fraction(1, 2)
 
@@ -54,33 +53,34 @@ def test_bernoulli_moments():
 
 
 def test_bernoulli_half_mgf_is_shifted_exponential():
-    expected = (degenerate_exp(ONE, 8) + Series.one(8)) * half
-    assert Bernoulli(half).mgf(8) == expected
+    expected = (degenerate_exp(ONE) + Series([ONE])) * half
+    assert Bernoulli(half).mgf().egf_coefficients(8) == expected.egf_coefficients(8)
 
 
 def test_uniform_mgf_two_paths():
     # termwise integration must match the series form
     # (difference quotient of the exponential times t/log(1+λt))
     n = 10
-    e1 = degenerate_exp(ONE, n + 1)
-    diff_quot = (e1 - Series.one(n + 1)).div_t()
-    log_factor = Series([ONE, ONE] + [ZERO] * n).log().div_t().scale_t(LAM)
-    assert Uniform01().mgf(n) == diff_quot * log_factor.reciprocal()
+    e1 = degenerate_exp(ONE)
+    diff_quot = (e1 - Series([ONE])).div_t()
+    log_factor = Series([ONE, ONE]).log().div_t().scale_t(LAM)
+    quotient = diff_quot * log_factor.reciprocal()
+    assert Uniform01().mgf().egf_coefficients(n) == quotient.egf_coefficients(n)
 
 
 def test_zero_provider():
     z = Zero()
-    assert z.mgf(6) == Series.one(6)
+    assert z.mgf().egf_coefficients(6) == Series([ONE]).egf_coefficients(6)
     for n in range(6):
-        assert ShefferSequence(z, n).polynomial(n, X) == falling_factorial(X, n)
+        assert ShefferSequence(z).polynomial(n, X) == falling_factorial(X, n)
 
 
 def test_iid_sum_mgf_two_paths():
     u = Uniform01()
     for m in (2, 3):
-        fold = IidSum(u, m).mgf(8)
-        assert fold == u.mgf(8).pow(m)
-        assert fold == u.mgf(8).pow_int(m)
+        fold = IidSum(u, m).mgf().egf_coefficients(8)
+        assert fold == u.mgf().pow(m).egf_coefficients(8)
+        assert fold == u.mgf().pow_int(m).egf_coefficients(8)
 
 
 def test_iid_sum_moment_convolves():
@@ -95,11 +95,11 @@ def test_moment_defaults_to_the_moment_series():
     # a provider that defines only its moment series reads moment n off coefficient n
     @dataclass(frozen=True)
     class SeriesOnly(MomentProvider):
-        def mgf(self, order: int) -> Series:
-            return degenerate_exp(P, order)
+        def mgf(self) -> Series:
+            return degenerate_exp(P)
 
     provider = SeriesOnly()
-    coefficients = degenerate_exp(P, 6).egf_coefficients(6)
+    coefficients = degenerate_exp(P).egf_coefficients(6)
     assert [provider.moment(n) for n in range(7)] == coefficients
     assert coefficients[3] == falling_factorial(P, 3)
 
@@ -141,29 +141,35 @@ def test_custom_moments_validation():
 
 def test_mgf_constant_term_is_one():
     for provider in (Uniform01(), Bernoulli(P), IidSum(Bernoulli(half), 3), Zero()):
-        assert provider.mgf(5).coefficient(0) == ONE
+        assert provider.mgf().coefficient(0) == ONE
 
 
 def test_sheffer_for_fair_coin_is_euler():
-    seq = ShefferSequence(Bernoulli(half), 10)
+    seq = ShefferSequence(Bernoulli(half))
     euler = euler_polynomials(10, X)
     for n in range(11):
         assert seq.polynomial(n, X) == euler[n]
 
 
 def test_sheffer_uniform_first_values():
-    assert ShefferSequence(Uniform01(), 0).polynomial(0, X) == ONE
-    assert ShefferSequence(Uniform01(), 1).polynomial(1, X) == X - half
+    assert ShefferSequence(Uniform01()).polynomial(0, X) == ONE
+    assert ShefferSequence(Uniform01()).polynomial(1, X) == X - half
 
 
 def test_sheffer_inverse_relation():
-    seq = ShefferSequence(Uniform01(), 8)
-    assert seq.inverse_mgf * Uniform01().mgf(8) == Series.one(8)
+    seq = ShefferSequence(Uniform01())
+    product = seq.inverse_mgf * Uniform01().mgf()
+    assert product.egf_coefficients(8) == Series([ONE]).egf_coefficients(8)
 
 
-def test_sheffer_order_bound():
+def test_sheffer_family_of_a_moment_table_ends_with_the_table():
+    coin = Bernoulli(P)
+    seq = ShefferSequence(CustomMoments([coin.moment(n) for n in range(4)]))
+    assert seq.polynomials(3, X) == ShefferSequence(coin).polynomials(3, X)
     with pytest.raises(OrderExceeded):
-        ShefferSequence(Uniform01(), 3).polynomial(4, X)
+        seq.polynomial(4, X)
+    with pytest.raises(OrderExceeded):
+        seq.polynomial(-1, X)
 
 
 def test_expect_falling_basis():
@@ -175,30 +181,30 @@ def test_expect_falling_basis():
 def test_expectation_recovers_falling_factorials():
     # averaging the family over its own variable, all providers, symbolically
     for provider in (Uniform01(), Bernoulli(half), Bernoulli(P)):
-        seq = ShefferSequence(provider, 8)
+        seq = ShefferSequence(provider)
         for n in range(9):
             shifted = seq.polynomial(n, X + Y)
             assert expect_polynomial(shifted, provider) == falling_factorial(X, n)
 
 
 def test_expectation_example_n2():
-    seq = ShefferSequence(Uniform01(), 4)
+    seq = ShefferSequence(Uniform01())
     shifted = seq.polynomial(2, X + Y)
     assert expect_polynomial(shifted, Uniform01()) == X ** 2 - LAM * X
 
 
 def test_coin_iid_sums_give_higher_euler():
     for m in range(1, 6):
-        seq = ShefferSequence(IidSum(Bernoulli(half), m), 10)
+        seq = ShefferSequence(IidSum(Bernoulli(half), m))
         for n in range(11):
             assert seq.polynomial(n, X) == higher_euler(n, m, X)
 
 
 def test_volkenborn_series_closed_form():
     n = 10
-    seq = ShefferSequence(Uniform01(), n)
-    log_factor = Series([ONE, ONE] + [ZERO] * n).log().div_t().scale_t(LAM)
-    closed = log_factor * bernoulli_base(n) * degenerate_exp(X, n)
+    seq = ShefferSequence(Uniform01())
+    log_factor = Series([ONE, ONE]).log().div_t().scale_t(LAM)
+    closed = log_factor * bernoulli_base() * degenerate_exp(X)
     for k in range(n + 1):
         assert seq.polynomial(k, X) == closed.egf_coefficient(k)
 
@@ -233,9 +239,8 @@ def test_chunked_draws_equal_the_copy_major_layout(provider, samples):
     assert np.array_equal(np.concatenate(chunks), expected)
 
 
-def _thm_3_1_target(n, provider, order=None):
-    seq = ShefferSequence(provider, order if order is not None else n)
-    return seq.polynomial(n, X + Y)
+def _thm_3_1_target(n, provider):
+    return ShefferSequence(provider).polynomial(n, X + Y)
 
 
 def test_mc_is_deterministic():
@@ -316,7 +321,7 @@ def test_mc_iid_sum_sampling():
     point = {"λ": Fraction(1, 8), "x": Fraction(1, 4)}
     outer = IidSum(Bernoulli(half), 2)
     inner = IidSum(Bernoulli(half), 1)
-    target = ShefferSequence(outer, 3).polynomial(3, X + Y)
+    target = ShefferSequence(outer).polynomial(3, X + Y)
     exact = float(higher_euler(3, 1, X).evaluate(point))
     result = mc_estimate(target, inner, point, 200_000, seed=99)
     assert abs(result.estimate - exact) <= 3 * result.std_error
