@@ -7,7 +7,6 @@ from .poly import (
 )
 from .series import NonUnitConstantTerm, NonzeroConstantTerm, OrderExceeded, Series
 from .families import (
-    FamilyId,
     IndexOutOfRange,
     bernoulli_deg,
     bernoulli_polynomials,

@@ -31,7 +31,6 @@ from typing import Sequence
 from .poly import DegreeLimitExceeded, Poly, VAR_NAMES, ZERO, X
 from .series import OrderExceeded, Series
 from . import families
-from .families import FamilyId
 from .randvar import (
     Bernoulli,
     IidSum,
@@ -249,8 +248,8 @@ def _render_rows(rows: list[dict], columns: list[str], fmt: str, meta: dict) -> 
 
 # -- table command ----------------------------------------------------------------
 
+_STIRLING1 = "stirling1"
 _SHEFFER_Y = "sheffer-y"
-_FAMILY_NAMES = [f.value for f in FamilyId] + [_SHEFFER_Y]
 
 # the optional table flags, by argparse dest, and the ones each family reads
 _TABLE_FLAGS = {"lam": "--lambda", "x": "--x", "p": "--p", "a": "--a", "b": "--b",
@@ -258,19 +257,21 @@ _TABLE_FLAGS = {"lam": "--lambda", "x": "--x", "p": "--p", "a": "--a", "b": "--b
 # the orders (a, b) of the hybrid T^{(a,b)} that each series-built family is; an order
 # named "a" or "b" is read from its flag, and is symbolic when the flag is absent
 _HYBRID_ORDERS = {
-    FamilyId.FALLING_LAMBDA.value: (0, 0),
-    FamilyId.DEG_BERNOULLI.value: (1, 0),
-    FamilyId.DEG_EULER.value: (0, 1),
-    FamilyId.HIGHER_BERNOULLI.value: ("a", 0),
-    FamilyId.HIGHER_EULER.value: (0, "b"),
-    FamilyId.SHEFFER_T.value: ("a", "b"),
+    "falling-lambda": (0, 0),
+    "deg-bernoulli": (1, 0),
+    "deg-euler": (0, 1),
+    "higher-bernoulli": ("a", 0),
+    "higher-euler": (0, "b"),
+    "sheffer-t": ("a", "b"),
 }
 _FAMILY_FLAGS = {
     **{family: {"lam", "x", *(e for e in orders if isinstance(e, str))}
        for family, orders in _HYBRID_ORDERS.items()},
-    FamilyId.STIRLING1.value: set(),
+    _STIRLING1: set(),
     _SHEFFER_Y: {"lam", "x", "p", "provider"},
 }
+# the `table` choices, in --help order
+_FAMILY_NAMES = list(_FAMILY_FLAGS)
 
 
 def _reject_unread(args, reads: set[str], flags: dict[str, str], target: str) -> None:
@@ -316,7 +317,7 @@ def _family_rows(args, config) -> tuple[list[dict], dict]:
     _reject_unread(args, _FAMILY_FLAGS[family], _TABLE_FLAGS, family)
     pins: dict[str, Poly] = {}
     meta_params: dict[str, str] = {}
-    at = X if family == FamilyId.FALLING_LAMBDA.value else ZERO
+    at = X if family == "falling-lambda" else ZERO
     # --x is the evaluation argument, never a pin, but its meta entry sits between λ and p
     for flag, var in (("lam", "λ"), ("x", "x"), ("p", "p")):
         raw = getattr(args, flag)
@@ -332,7 +333,7 @@ def _family_rows(args, config) -> tuple[list[dict], dict]:
     # only json and latex print the LaTeX column
     with_latex = config["format"] in ("json", "latex")
     rows: list[dict] = []
-    if family == FamilyId.STIRLING1.value:
+    if family == _STIRLING1:
         for n in range(n_max + 1):
             for k in range(n + 1):
                 value = families.stirling_first(n, k)
@@ -353,7 +354,7 @@ def _family_rows(args, config) -> tuple[list[dict], dict]:
 def cmd_table(args) -> int:
     config = resolve_common(args)
     rows, meta = _family_rows(args, config)
-    columns = ["n", "k", "value"] if args.family == FamilyId.STIRLING1.value else ["n", "value"]
+    columns = ["n", "k", "value"] if args.family == _STIRLING1 else ["n", "value"]
     _emit(_render_rows(rows, columns, config["format"], meta))
     return 0
 

@@ -17,7 +17,6 @@ checker's ``Workspace`` holds what its cases share.
 
 from __future__ import annotations
 
-import enum
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
@@ -28,18 +27,6 @@ from .series import Series
 
 class IndexOutOfRange(Exception):
     """An index pair outside the defined triangle was requested."""
-
-
-class FamilyId(enum.Enum):
-    """Stable names for the constructible families (the CLI dispatch table)."""
-
-    FALLING_LAMBDA = "falling-lambda"
-    DEG_BERNOULLI = "deg-bernoulli"
-    DEG_EULER = "deg-euler"
-    HIGHER_BERNOULLI = "higher-bernoulli"
-    HIGHER_EULER = "higher-euler"
-    SHEFFER_T = "sheffer-t"
-    STIRLING1 = "stirling1"
 
 
 def falling_factorial(base: PolyLike, n: int) -> Poly:

@@ -6,7 +6,7 @@ parameters kept symbolic wherever the algebra permits (a verified
 identity in Q[a] covers every real order).  Integer-only parameters
 (copy counts of i.i.d. sums) are enumerated over a small fixed set.
 
-A ``Workspace`` memoizes the generating series and the moment tables the
+A ``Workspace`` memoizes the generating series and the moment series the
 cases share, so a full-registry run costs each of them once.
 """
 
@@ -67,9 +67,10 @@ class IdentityCase(NamedTuple):
 class Workspace:
     """Cache of what the identity recipes share; its value lists run through index ``order``.
 
-    It owns the series, the B^e1 · E^e2 factors, the providers' moments and
-    the Stirling table that turns those into ordinary moments E[Y^j].  The
-    series are lazy, so a recipe that reads past ``order`` extends them.
+    It owns the series, the B^e1 · E^e2 factors, one moment series per
+    provider, and the Stirling table that turns the moments read off it into
+    ordinary moments E[Y^j].  The series are lazy, so a recipe that reads
+    past ``order`` extends them.
     """
 
     def __init__(self, order: int):
@@ -141,13 +142,6 @@ class Workspace:
 
         return self._get(("mgf", provider), make)
 
-    def moments(self, provider: MomentProvider) -> CustomMoments:
-        """The provider's moments 0..order, read off its moment series."""
-        return self._get(
-            ("moments", provider),
-            lambda: CustomMoments(self.mgf(provider).egf_coefficients(self.order)),
-        )
-
     def stirling_rows(self) -> list[list[Poly]]:
         """Row j is y^j in the λ-falling basis: degenerate Stirling numbers of the second kind."""
         return self._get(("stirling2",), lambda: [
@@ -162,8 +156,8 @@ class Workspace:
                              f"{expect_polynomial.__name__} takes any degree")
 
         def ordinary():
-            moments = self.moments(provider).table
-            return [Poly.dot((1, c, moments[k]) for k, c in enumerate(row) if c)
+            degenerate = self.mgf(provider).egf_coefficients(self.order)
+            return [Poly.dot((1, c, degenerate[k]) for k, c in enumerate(row) if c)
                     for row in self.stirling_rows()]
 
         moments = self._get(("ordinary-moments", provider), ordinary)

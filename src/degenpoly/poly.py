@@ -447,71 +447,47 @@ class Poly:
         Accepts sums of terms ``coeff*var^e*...`` with optional signs,
         integer or num/den coefficients, and the ``lambda``/``lam`` aliases.
         """
-        tokens: list[tuple[str, str]] = []
+        tokens: list[tuple[str | None, str | None]] = []
         for m in cls._TOKEN.finditer(text):
             kind = m.lastgroup
             if kind == "bad":
                 raise ValueError(f"unexpected character {m.group('bad')!r} in polynomial {text!r}")
             tokens.append((kind, m.group(kind)))
-        pos = 0
-
-        def peek():
-            return tokens[pos] if pos < len(tokens) else (None, None)
-
-        def take():
-            nonlocal pos
-            tok = tokens[pos]
-            pos += 1
-            return tok
-
-        def parse_factor() -> Poly:
-            nonlocal pos
-            kind, value = peek()
+        if not tokens:
+            raise ValueError("empty polynomial text")
+        tokens.append((None, None))  # the end: no token reads past it
+        # an optional leading sign, then factors joined by '*' into terms joined by '+' or '-'
+        sign, i = 1, 0
+        if tokens[0][1] in ("+", "-"):
+            sign, i = (-1 if tokens[0][1] == "-" else 1), 1
+        terms: list[Poly] = []
+        term = None
+        while True:
+            kind, value = tokens[i]
             if kind == "num":
-                take()
-                return cls.const(Fraction(value))
-            if kind == "var":
-                take()
-                base = cls.var(value)
-                kind, value = peek()
-                if kind == "op" and value == "^":
-                    take()
-                    kind, value = peek()
+                factor = cls.const(Fraction(value))
+            elif kind == "var":
+                factor = cls.var(value)
+                if tokens[i + 1] == ("op", "^"):
+                    kind, value = tokens[i + 2]
                     if kind != "num" or "/" in value:
                         raise ValueError(f"exponent must be an integer in {text!r}")
-                    take()
-                    return base ** int(value)
-                return base
-            raise ValueError(f"malformed polynomial text {text!r}")
-
-        def parse_term() -> Poly:
-            term = parse_factor()
-            while True:
-                kind, value = peek()
-                if kind == "op" and value == "*":
-                    take()
-                    term = term * parse_factor()
-                else:
-                    return term
-
-        terms: list[Poly] = []
-        sign = 1
-        kind, value = peek()
-        if kind == "op" and value in "+-":
-            take()
-            sign = -1 if value == "-" else 1
-        elif kind is None:
-            raise ValueError("empty polynomial text")
-        while True:
-            terms.append(parse_term() * sign)
-            kind, value = peek()
+                    factor = factor ** int(value)
+                    i += 2
+            else:
+                raise ValueError(f"malformed polynomial text {text!r}")
+            term = factor if term is None else term * factor
+            kind, value = tokens[i + 1]
+            i += 2
+            if value == "*":
+                continue
+            terms.append(term * sign)
+            term = None
             if kind is None:
                 return cls.sum(terms)
-            if kind == "op" and value in "+-":
-                take()
-                sign = -1 if value == "-" else 1
-            else:
+            if value not in ("+", "-"):
                 raise ValueError(f"expected '+' or '-' in polynomial text {text!r}")
+            sign = -1 if value == "-" else 1
 
 
 def int_power(base, exponent: int, one):

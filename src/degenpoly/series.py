@@ -94,9 +94,6 @@ class Series:
             return Series((), lambda out: self.coefficient(len(out)) - other.coefficient(len(out)))
         return NotImplemented
 
-    def __neg__(self) -> "Series":
-        return self.map_coefficients(Poly.__neg__)
-
     def __mul__(self, other) -> "Series":
         if isinstance(other, Series):
             def rule(out):

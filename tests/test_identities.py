@@ -184,11 +184,8 @@ def test_workspace_moment_tables():
         IidSum(Bernoulli(Fraction(1, 2)), 2),
     )
     for provider in providers:
-        moments = ws.moments(provider)
-        assert moments.table == tuple(provider.moment(k) for k in range(ws.order + 1))
-        assert ws.moments(provider) is moments
         for value in ws.sheffer(provider, X + Y)[::2]:
-            assert expect_polynomial(value, moments) == expect_polynomial(value, provider)
+            assert ws.expect(value, provider) == expect_polynomial(value, provider)
 
 
 def test_workspace_builds_one_moment_series_per_provider(monkeypatch):
@@ -256,10 +253,8 @@ def _clear_family_caches():
 
 
 def test_verify_all_kernel_work_budget(monkeypatch):
-    # 1,398 calls and 62,511 term pairs when thm3.11-E rebuilt its series one order
-    # higher (2,820 and 83,594 when a product by a rational or a constant ran through
-    # Poly.dot too, and 4,172 and 133,235 before that, when the series carried a spare
-    # coefficient and every expectation rebuilt the falling-factorial basis)
+    # the products are the registry's cost; a change that makes more of them, or
+    # larger ones, for the same values has to raise this budget in plain sight
     _clear_family_caches()
     seen = {"calls": 0, "pairs": 0}
     dot = poly.Poly.dot.__func__
@@ -272,8 +267,8 @@ def test_verify_all_kernel_work_budget(monkeypatch):
 
     monkeypatch.setattr(poly.Poly, "dot", classmethod(spy))
     assert all(r.equal for r in verify_all(max_n=6))
-    assert seen["calls"] <= 1398, seen
-    assert seen["pairs"] <= 62511, seen
+    assert seen["calls"] <= 1348, seen
+    assert seen["pairs"] <= 61784, seen
 
 
 def test_verify_all_peak_memory():

@@ -147,6 +147,23 @@ def test_parse_unknown_character():
         Poly.parse("q + 1")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty polynomial text"),
+    ("2 +", "malformed polynomial text '2 +'"),
+    ("x^(2)", "unexpected character '(' in polynomial 'x^(2)'"),
+    ("x^1/2", "exponent must be an integer in 'x^1/2'"),
+    ("x^", "exponent must be an integer in 'x^'"),
+    ("*x", "malformed polynomial text '*x'"),
+    ("x x", "expected '+' or '-' in polynomial text 'x x'"),
+    ("q + 1", "unexpected character 'q' in polynomial 'q + 1'"),
+])
+def test_parse_error_messages(text, message):
+    # the CLI prints these after "cannot parse ... value", so they are part of its output
+    with pytest.raises(ValueError) as caught:
+        Poly.parse(text)
+    assert str(caught.value) == message
+
+
 coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
