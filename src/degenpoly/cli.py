@@ -1,9 +1,10 @@
 """Command-line surface: family tables, identity verification, Monte-Carlo checks.
 
-Configuration precedence is flags > environment variables (DEGENPOLY_*) >
-config file (key=value lines) > built-in defaults.  Rational numbers are
-always serialized as num/den strings, never floats, so emitted JSON
-round-trips exactly.
+Each parameter is set by its flag alone; the defaults are argparse's (``--n``
+10 for ``table``, 8 for ``verify``, 1 for ``mc``; ``--format plain``;
+``--samples`` 100000 and ``--seed`` 42).  Rational numbers are always
+serialized as num/den strings, never floats, so emitted JSON round-trips
+exactly, and exact values print in full however many digits they have.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 
@@ -19,11 +20,11 @@ load it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import gc
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -43,56 +44,22 @@ from .randvar import (
 )
 
 SCHEMA_VERSION = "1"
-ENV_PREFIX = "DEGENPOLY_"
 FORMATS = ("plain", "json", "csv", "latex")
-
-DEFAULTS = {
-    "n": None,
-    "format": "plain",
-    "samples": 100_000,
-    "seed": 42,
-}
-_DEFAULT_N = {"table": 10, "verify": 8, "mc": 1}
 
 
 class BadParams(Exception):
     """Invalid command parameters (reported with usage text, exit code 2)."""
 
 
-# -- configuration layering ----------------------------------------------------
+def check_common(args) -> None:
+    """Check the flags every command shares: a known ``--format`` and a non-negative ``--n``."""
+    if args.format not in FORMATS:
+        raise BadParams(f"unknown format {args.format!r}; pick one of {', '.join(FORMATS)}")
+    if args.n < 0:
+        raise BadParams("--n must be non-negative")
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise BadParams(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key not in DEFAULTS:
-                    raise BadParams(
-                        f"{path}:{lineno}: unknown key {key!r}; known keys are {', '.join(DEFAULTS)}"
-                    )
-                values[key] = value.strip()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise BadParams(f"cannot read config file {path}: {exc}") from exc
-    return values
-
-
-def _resolve(key: str, flag_value, file_values: dict[str, str], parse=str):
-    if flag_value is not None:
-        return parse(flag_value)
-    env = os.environ.get(ENV_PREFIX + key.upper())
-    if env is not None:
-        return parse(env)
-    if key in file_values:
-        return parse(file_values[key])
-    return DEFAULTS[key]
+# -- shared parsing helpers -------------------------------------------------------
 
 
 def _parse_int(text: str) -> int:
@@ -100,31 +67,6 @@ def _parse_int(text: str) -> int:
         return int(text)
     except ValueError as exc:
         raise BadParams(f"expected an integer, got {text!r}") from exc
-
-
-def _parse_format(text: str) -> str:
-    if text not in FORMATS:
-        raise BadParams(f"unknown format {text!r}; pick one of {', '.join(FORMATS)}")
-    return text
-
-
-def resolve_common(args) -> dict:
-    """Resolve the command's keys (only ``mc`` has samples and seed); ``n`` defaults per command."""
-    file_values = _read_config_file(args.config) if args.config else {}
-    config = {
-        key: _resolve(key, getattr(args, key), file_values,
-                      _parse_format if key == "format" else _parse_int)
-        for key in DEFAULTS
-        if hasattr(args, key)
-    }
-    if config["n"] is None:
-        config["n"] = _DEFAULT_N[args.command]
-    if config["n"] < 0:
-        raise BadParams("--n must be non-negative")
-    return config
-
-
-# -- shared parsing helpers -------------------------------------------------------
 
 
 def _parse_poly(text: str, what: str) -> Poly:
@@ -179,6 +121,25 @@ def parse_provider(spec: str) -> MomentProvider:
 
 
 # -- rendering -------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _exact_text():
+    """Lift the interpreter's limit on the digits of an int made text, and restore it after.
+
+    Exact values print in full while they become text; parsing runs outside, so a flag
+    literal over the limit stays a usage error.  Python before 3.10.7 has no limit.
+    """
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(saved)
 
 
 def _latex_fraction(value: Fraction) -> str:
@@ -285,7 +246,8 @@ def _reject_unread(args, reads: set[str], flags: dict[str, str], target: str) ->
 def _order_param(raw: str | None, name: str, meta_params: dict[str, str]) -> Poly:
     """An order parameter from its flag, symbolic when the flag is absent."""
     value = _parse_poly(raw, name) if raw is not None else Poly.var(name)
-    meta_params[name] = str(value)
+    with _exact_text():
+        meta_params[name] = str(value)
     return value
 
 
@@ -311,9 +273,9 @@ def _family_series(args, at: Poly, meta_params: dict[str, str]) -> Series:
     return families.sheffer_type_series(a, b, at)
 
 
-def _family_rows(args, config) -> tuple[list[dict], dict]:
+def _family_rows(args) -> tuple[list[dict], dict]:
     family = args.family
-    n_max = config["n"]
+    n_max = args.n
     _reject_unread(args, _FAMILY_FLAGS[family], _TABLE_FLAGS, family)
     pins: dict[str, Poly] = {}
     meta_params: dict[str, str] = {}
@@ -331,31 +293,32 @@ def _family_rows(args, config) -> tuple[list[dict], dict]:
                 pins[var] = _parse_poly(raw, var)
 
     # only json and latex print the LaTeX column
-    with_latex = config["format"] in ("json", "latex")
+    with_latex = args.format in ("json", "latex")
+    series = None if family == _STIRLING1 else _family_series(args, at, meta_params)
     rows: list[dict] = []
-    if family == _STIRLING1:
-        for n in range(n_max + 1):
-            for k in range(n + 1):
-                value = families.stirling_first(n, k)
-                rows.append({"n": n, "k": k, "value": str(value)})
+    with _exact_text():
+        if series is None:
+            for n in range(n_max + 1):
+                for k in range(n + 1):
+                    value = families.stirling_first(n, k)
+                    rows.append({"n": n, "k": k, "value": str(value)})
+                    if with_latex:
+                        rows[-1]["latex"] = _latex_fraction(value)
+        else:
+            for n, value in enumerate(series.egf_coefficients(n_max)):
+                value = value.substitute(pins) if pins else value
+                rows.append({"n": n, "value": str(value)})
                 if with_latex:
-                    rows[-1]["latex"] = _latex_fraction(value)
-    else:
-        series = _family_series(args, at, meta_params)
-        for n, value in enumerate(series.egf_coefficients(n_max)):
-            value = value.substitute(pins) if pins else value
-            rows.append({"n": n, "value": str(value)})
-            if with_latex:
-                rows[-1]["latex"] = poly_latex(value)
+                    rows[-1]["latex"] = poly_latex(value)
     meta = {"command": "table", "family": family, "n_max": n_max, "params": meta_params}
     return rows, meta
 
 
 def cmd_table(args) -> int:
-    config = resolve_common(args)
-    rows, meta = _family_rows(args, config)
+    check_common(args)
+    rows, meta = _family_rows(args)
     columns = ["n", "k", "value"] if args.family == _STIRLING1 else ["n", "value"]
-    _emit(_render_rows(rows, columns, config["format"], meta))
+    _emit(_render_rows(rows, columns, args.format, meta))
     return 0
 
 
@@ -365,7 +328,7 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     from . import identities
 
-    config = resolve_common(args)
+    check_common(args)
     extra = [identities.broken_case()] if args.inject_fault else []
     try:
         ids = identities.select_ids(args.patterns or None, extra)
@@ -373,37 +336,38 @@ def cmd_verify(args) -> int:
         raise BadParams(str(exc)) from exc
     if not ids:
         raise BadParams(f"no identity matches {' '.join(args.patterns)}")
-    reports = identities.verify_all(ids, max_n=config["n"], extra=extra)
+    reports = identities.verify_all(ids, max_n=args.n, extra=extra)
 
-    fmt = config["format"]
-    if fmt == "json":
-        cases = []
-        for r in reports:
-            mismatch = None
-            if r.mismatch is not None:
-                mismatch = {"n": r.mismatch.n, "diff": str(r.mismatch.diff)}
-            cases.append({"id": r.id, "maxN": r.max_n, "equal": r.equal, "mismatch": mismatch})
-        _emit(json.dumps({"version": SCHEMA_VERSION, "cases": cases}, ensure_ascii=False, indent=2))
-    elif fmt == "csv":
-        rows = [[r.id, r.max_n, "false", r.mismatch.n, str(r.mismatch.diff)] if r.mismatch
-                else [r.id, r.max_n, "true", "", ""] for r in reports]
-        _emit(_csv(["id", "maxN", "equal", "mismatch_n", "diff"], rows))
-    elif fmt == "latex":
-        lines = ["\\begin{tabular}{ll}", "\\hline", "id & status \\\\", "\\hline"]
-        for r in reports:
-            status = "ok" if r.equal else f"mismatch at $n={r.mismatch.n}$"
-            lines.append(f"\\verb|{r.id}| & {status} \\\\")
-        lines += ["\\hline", "\\end{tabular}"]
-        _emit("\n".join(lines))
-    else:
-        for r in reports:
-            if r.equal:
-                _emit(f"{r.id}: ok (n <= {r.max_n})")
-            else:
-                where = f" [{r.mismatch.instance}]" if r.mismatch.instance else ""
-                _emit(f"{r.id}: MISMATCH at n={r.mismatch.n}{where} diff = {r.mismatch.diff}")
-        equal_count = sum(r.equal for r in reports)
-        _emit(f"{equal_count}/{len(reports)} identities verified")
+    with _exact_text():
+        fmt = args.format
+        if fmt == "json":
+            cases = []
+            for r in reports:
+                mismatch = None
+                if r.mismatch is not None:
+                    mismatch = {"n": r.mismatch.n, "diff": str(r.mismatch.diff)}
+                cases.append({"id": r.id, "maxN": r.max_n, "equal": r.equal, "mismatch": mismatch})
+            _emit(json.dumps({"version": SCHEMA_VERSION, "cases": cases}, ensure_ascii=False, indent=2))
+        elif fmt == "csv":
+            rows = [[r.id, r.max_n, "false", r.mismatch.n, str(r.mismatch.diff)] if r.mismatch
+                    else [r.id, r.max_n, "true", "", ""] for r in reports]
+            _emit(_csv(["id", "maxN", "equal", "mismatch_n", "diff"], rows))
+        elif fmt == "latex":
+            lines = ["\\begin{tabular}{ll}", "\\hline", "id & status \\\\", "\\hline"]
+            for r in reports:
+                status = "ok" if r.equal else f"mismatch at $n={r.mismatch.n}$"
+                lines.append(f"\\verb|{r.id}| & {status} \\\\")
+            lines += ["\\hline", "\\end{tabular}"]
+            _emit("\n".join(lines))
+        else:
+            for r in reports:
+                if r.equal:
+                    _emit(f"{r.id}: ok (n <= {r.max_n})")
+                else:
+                    where = f" [{r.mismatch.instance}]" if r.mismatch.instance else ""
+                    _emit(f"{r.id}: MISMATCH at n={r.mismatch.n}{where} diff = {r.mismatch.diff}")
+            equal_count = sum(r.equal for r in reports)
+            _emit(f"{equal_count}/{len(reports)} identities verified")
     return 0 if all(r.equal for r in reports) else 1
 
 
@@ -419,29 +383,30 @@ MC_MAX_STREAMS = 4096
 
 def cmd_mc(args) -> int:
     _reject_unread(args, _MC_READS[args.identity], _MC_FLAGS, args.identity)
-    config = resolve_common(args)
-    n = config["n"]
+    check_common(args)
+    n = args.n
     if args.lam is None or args.x is None:
         raise BadParams("mc needs explicit --lambda and --x rationals")
     lam_v = _parse_rational(args.lam, "lambda")
     x_v = _parse_rational(args.x, "x")
-    samples = config["samples"]
-    seed = config["seed"]
+    samples = args.samples
+    seed = args.seed
     if samples < 2:
         raise BadParams("--samples must be at least 2, so the standard error is defined")
     if seed < 0:
         raise BadParams("--seed must be non-negative")
 
     point = {"λ": lam_v, "x": x_v}
-    meta: dict = {
-        "command": "mc",
-        "identity": args.identity,
-        "n": n,
-        "lambda": str(lam_v),
-        "x": str(x_v),
-        "samples": samples,
-        "seed": seed,
-    }
+    with _exact_text():
+        meta: dict = {
+            "command": "mc",
+            "identity": args.identity,
+            "n": n,
+            "lambda": str(lam_v),
+            "x": str(x_v),
+            "samples": samples,
+            "seed": seed,
+        }
     if args.identity == "thm3.1":
         provider = parse_provider(args.provider if args.provider is not None else "uniform01")
         target = ShefferSequence(provider).polynomial(n, X + Poly.var("y"))
@@ -471,29 +436,30 @@ def cmd_mc(args) -> int:
         z = 0.0 if result.estimate == exact_float else float("inf")
     passed = abs(z) <= 3.0
 
-    report = {
-        **meta,
-        "exact": f"{exact.numerator}/{exact.denominator}",
-        "exact_float": exact_float,
-        "estimate": result.estimate,
-        "std_error": result.std_error,
-        "z": z,
-        "pass": passed,
-    }
-    fmt = config["format"]
-    if fmt == "json":
-        _emit(json.dumps({"version": SCHEMA_VERSION, **report}, ensure_ascii=False, indent=2))
-    elif fmt == "csv":
-        _emit(_csv(list(report), [list(report.values())]))
-    elif fmt == "latex":
-        lines = ["\\begin{tabular}{ll}", "\\hline"]
-        for key, value in report.items():
-            lines.append(f"{key} & {value} \\\\")
-        lines += ["\\hline", "\\end{tabular}"]
-        _emit("\n".join(lines))
-    else:
-        for key, value in report.items():
-            _emit(f"{key}: {value}")
+    with _exact_text():
+        report = {
+            **meta,
+            "exact": f"{exact.numerator}/{exact.denominator}",
+            "exact_float": exact_float,
+            "estimate": result.estimate,
+            "std_error": result.std_error,
+            "z": z,
+            "pass": passed,
+        }
+        fmt = args.format
+        if fmt == "json":
+            _emit(json.dumps({"version": SCHEMA_VERSION, **report}, ensure_ascii=False, indent=2))
+        elif fmt == "csv":
+            _emit(_csv(list(report), [list(report.values())]))
+        elif fmt == "latex":
+            lines = ["\\begin{tabular}{ll}", "\\hline"]
+            for key, value in report.items():
+                lines.append(f"{key} & {value} \\\\")
+            lines += ["\\hline", "\\end{tabular}"]
+            _emit("\n".join(lines))
+        else:
+            for key, value in report.items():
+                _emit(f"{key}: {value}")
     return 0 if passed else 1
 
 
@@ -507,17 +473,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_mc: bool = False):
-        p.add_argument("--n", type=int, default=None, help="largest index n")
-        p.add_argument("--format", default=None, help="plain, json, csv or latex")
-        p.add_argument("--config", default=None, help="key=value config file")
+    def common(p: argparse.ArgumentParser, n: int, with_mc: bool = False):
+        p.add_argument("--n", type=int, default=n, help="largest index n")
+        p.add_argument("--format", default="plain", help="plain, json, csv or latex")
         if with_mc:
-            p.add_argument("--samples", type=int, default=None)
-            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--samples", type=int, default=100_000)
+            p.add_argument("--seed", type=int, default=42)
 
     table = sub.add_parser("table", help="emit a family value table")
     table.add_argument("family", choices=_FAMILY_NAMES)
-    common(table)
+    common(table, n=10)
     table.add_argument("--lambda", dest="lam", default=None, help="pin λ (rational or polynomial)")
     table.add_argument("--x", default=None, help="evaluation argument (rational, 0, or x)")
     table.add_argument("--p", default=None, help="pin p (rational)")
@@ -528,13 +493,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="check registered identities")
     verify.add_argument("patterns", nargs="*", help="identity ids or globs (default: all)")
-    common(verify)
+    common(verify, n=8)
     verify.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     verify.set_defaults(func=cmd_verify)
 
     mc = sub.add_parser("mc", help="Monte-Carlo spot check of an expectation identity")
     mc.add_argument("identity", choices=["thm3.1", "thm3.7"])
-    common(mc, with_mc=True)
+    common(mc, n=1, with_mc=True)
     mc.add_argument("--provider", default=None,
                     help="sampling provider (thm3.1; default uniform01)")
     mc.add_argument("--lambda", dest="lam", default=None, help="rational value for λ")

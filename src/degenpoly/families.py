@@ -112,23 +112,31 @@ def sheffer_type(n: int, a_param: PolyLike, b_param: PolyLike, at: PolyLike = ZE
     return sheffer_type_series(a_param, b_param, at).egf_coefficient(n)
 
 
+# the last row of the triangle built: (m, [S1(m, 0), ..., S1(m, m)]) as ints; the pair is
+# replaced whole, never changed in place, so a concurrent reader sees one complete row
+_stirling_row: tuple[int, list[int]] = (0, [1])
+
+
 @lru_cache(maxsize=None)
 def stirling_first(n: int, k: int) -> Fraction:
-    """Signed Stirling number of the first kind via the triangular recurrence.
+    """Signed Stirling number of the first kind, from the rows of its triangle.
 
+    Row m + 1 comes from row m by S1(m+1, j) = S1(m, j-1) - m * S1(m, j), in
+    ints and without recursion.  The last row built is kept, so reading the
+    rows in order costs one step per row; an earlier row starts again from 0.
     Agrees with the exponential coefficients of log(1+t)^k / k!.
     """
+    global _stirling_row
     if n < 0 or k < 0 or k > n:
         raise IndexOutOfRange(f"stirling_first needs 0 <= k <= n, got ({n}, {k})")
-    if n == 0:
-        return Fraction(1)
-    if k == 0:
-        return Fraction(0)
-    # S1(n, k) = S1(n-1, k-1) - (n-1) * S1(n-1, k)
-    value = stirling_first(n - 1, k - 1)
-    if k <= n - 1:
-        value = value - (n - 1) * stirling_first(n - 1, k)
-    return value
+    m, row = _stirling_row
+    if m > n:
+        m, row = 0, [1]
+    while m < n:
+        row = [0, *(row[j - 1] - m * row[j] for j in range(1, m + 1)), 1]
+        m += 1
+    _stirling_row = (m, row)
+    return Fraction(row[k])
 
 
 # -- falling-factorial basis ---------------------------------------------------

@@ -295,63 +295,68 @@ def test_a_provider_nested_to_the_bound_is_read(capsys):
     assert code == 0 and len(out.splitlines()) == 4
 
 
-def test_config_precedence(tmp_path, monkeypatch, capsys):
-    config = tmp_path / "degenpoly.conf"
-    config.write_text("format=csv\nn=2\n# comment\n", encoding="utf-8")
-
-    # file value applies
-    code, out, _ = run(capsys, "table", "deg-bernoulli", "--config", str(config))
-    assert code == 0
-    assert out.startswith('"n","value"')
-
-    # environment beats the file
-    monkeypatch.setenv("DEGENPOLY_FORMAT", "json")
-    code, out, _ = run(capsys, "table", "deg-bernoulli", "--config", str(config))
-    assert code == 0
-    assert json.loads(out)["n_max"] == 2
-
-    # flag beats the environment
-    code, out, _ = run(
-        capsys, "table", "deg-bernoulli", "--config", str(config), "--format", "plain"
-    )
-    assert code == 0
-    assert out.splitlines()[0].split() == ["n", "value"]
-
-
-def test_config_file_errors(tmp_path, capsys):
-    bad = tmp_path / "bad.conf"
-    bad.write_text("not a pair\n", encoding="utf-8")
-    code, _, err = run(capsys, "table", "deg-bernoulli", "--config", str(bad))
-    assert code == 2
-    assert "key=value" in err
-    code, _, err = run(capsys, "table", "deg-bernoulli", "--config", str(tmp_path / "missing"))
-    assert code == 2
-    undecodable = tmp_path / "latin.conf"
-    undecodable.write_bytes(b"n=\xff\xfe\n")
-    code, _, err = run(capsys, "table", "deg-bernoulli", "--config", str(undecodable))
-    assert code == 2
-    assert "cannot read config file" in err
-    # order is not a key: a series extends itself as far as it is read
-    removed = tmp_path / "order.conf"
-    removed.write_text("order=16\n", encoding="utf-8")
-    code, _, err = run(capsys, "table", "deg-bernoulli", "--config", str(removed))
-    assert code == 2
-    assert "unknown key" in err
-
-
 def test_order_is_not_an_option():
     with pytest.raises(SystemExit) as exc:
         main(["table", "deg-bernoulli", "--n", "2", "--order", "5"])
     assert exc.value.code == 2
 
 
-def test_sampling_config_is_read_by_mc_only(monkeypatch, capsys):
-    monkeypatch.setenv("DEGENPOLY_SEED", "abc")
-    assert run(capsys, "table", "deg-bernoulli", "--n", "1")[0] == 0
-    assert run(capsys, "mc", "thm3.1", "--lambda", "1/8", "--x", "1/4")[0] == 2
-    monkeypatch.delenv("DEGENPOLY_SEED")
-    monkeypatch.setenv("DEGENPOLY_SAMPLES", "1e6")
-    assert run(capsys, "verify", "thm3.4", "--n", "1")[0] == 0
+def test_config_is_not_an_option(tmp_path, capsys):
+    config = tmp_path / "degenpoly.conf"
+    config.write_text("format=json\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "deg-bernoulli", "--n", "2", "--config", str(config)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "deg-bernoulli"),
+    ("verify", "thm3.4"),
+    ("mc", "thm3.1", "--lambda", "1/8", "--x", "1/4", "--samples", "1000"),
+])
+def test_the_environment_sets_no_parameter(argv, monkeypatch, capsys):
+    expected = run(capsys, *argv)
+    for key, value in (("N", "1"), ("FORMAT", "json"), ("SAMPLES", "abc"), ("SEED", "-1")):
+        monkeypatch.setenv("DEGENPOLY_" + key, value)
+    assert run(capsys, *argv) == expected
+
+
+# the interpreter's limit on the digits of an int made text; 0, no limit, before Python 3.10.7
+_int_text_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+@contextlib.contextmanager
+def _unlimited_int_text():
+    saved = _int_text_limit()
+    if saved:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if saved:
+            sys.set_int_max_str_digits(saved)
+
+
+def test_an_exact_value_of_any_size_prints(capsys):
+    # 4,000 digits parse, and x^2 - λx at that x has 8,000
+    nines = "9" * 4000
+    limit = _int_text_limit()
+    code, out, err = run(capsys, "table", "falling-lambda", "--n", "2", "--x", nines)
+    assert (code, err) == (0, "")
+    assert _int_text_limit() == limit
+    value = out.splitlines()[3].split(maxsplit=1)[1]
+    with _unlimited_int_text():
+        x = int(nines)
+        assert Poly.parse(value) == Poly.const(x * x) - LAM * x
+
+
+@pytest.mark.skipif(not _int_text_limit(), reason="this Python has no limit on int text")
+def test_a_flag_literal_over_the_int_text_limit_is_a_usage_error(capsys):
+    digits = _int_text_limit() + 1
+    code, out, err = run(capsys, "table", "falling-lambda", "--n", "2", "--x", "9" * digits)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot parse x value")
 
 
 @pytest.mark.parametrize(
@@ -371,7 +376,7 @@ def test_sampling_config_is_read_by_mc_only(monkeypatch, capsys):
         ("table", "sheffer-y", "--provider", "iid:ber:2:2"),
         ("mc", "thm3.1", "--provider", "ber:3/2", "--lambda", "1/8", "--x", "1/4"),
         ("table", "sheffer-y", "--provider", "ber:p", "--p", "2"),
-        ("table", "deg-bernoulli", "--config", "{config}"),
+        ("table", "deg-bernoulli", "--format", "yaml"),
         ("table", "stirling1", "--n", "1", "--x", "5", "--lambda", "1/2", "--format", "json"),
         ("table", "stirling1", "--lambda", "1/2"),
         ("table", "stirling1", "--x", "x"),
@@ -397,10 +402,8 @@ def test_sampling_config_is_read_by_mc_only(monkeypatch, capsys):
         ("table", "sheffer-y", "--provider", "iid:ber:p:2", "--p", "x+1"),
     ],
 )
-def test_usage_errors_exit_2(argv, tmp_path, capsys):
-    config = tmp_path / "typo.conf"
-    config.write_text("ordr=5\n", encoding="utf-8")
-    code, _, err = run(capsys, *(arg.format(config=config) for arg in argv))
+def test_usage_errors_exit_2(argv, capsys):
+    code, _, err = run(capsys, *argv)
     assert code == 2
     assert any(line.startswith("error: ") for line in err.splitlines())
 

@@ -185,6 +185,18 @@ def test_stirling_first_bounds():
         stirling_first(-1, 0)
 
 
+def test_stirling_first_reads_a_deep_row_cold():
+    # the rows are built in order without recursion, so a cold deep read needs no warm-up
+    stirling_first.cache_clear()
+    assert stirling_first(600, 1) == -factorial(599)
+    assert sum(abs(stirling_first(600, k)) for k in range(601)) == factorial(600)
+    stirling_first.cache_clear()
+    cold = stirling_first(600, 300)
+    stirling_first.cache_clear()
+    in_order = [stirling_first(n, k) for n in range(601) for k in range(min(n, 300) + 1)]
+    assert in_order[-1] == cold
+
+
 def test_stirling_matches_log_power_series():
     n_max = 20
     log = Series([ONE, ONE]).log()
