@@ -6,6 +6,12 @@ Each parameter is set by its flag alone; the defaults are argparse's (``--n``
 serialized as num/den strings, never floats, so emitted JSON round-trips
 exactly, and exact values print in full however many digits they have.
 
+Every rational or polynomial in a flag is read in one grammar, ``Poly.parse``'s,
+through ``_parse_poly``, with at most MAX_LITERAL_DIGITS digits per number.  A
+flag that takes a rational (``mc --lambda``/``--x``, ``table --p``, ``ber:<p>``,
+an ``iid:`` copy count) needs a constant there: an optional sign, then an
+integer or ``a/b``.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 
 ``run`` is the process entry (the ``degenpoly`` script and ``python -m
@@ -25,6 +31,7 @@ import csv
 import gc
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -62,31 +69,35 @@ def check_common(args) -> None:
 # -- shared parsing helpers -------------------------------------------------------
 
 
-def _parse_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise BadParams(f"expected an integer, got {text!r}") from exc
+# the most digits of one number in a flag literal: the interpreter's default limit on int
+# text (Python 3.10.7 on), stated here because `main` lifts that limit for the whole command
+MAX_LITERAL_DIGITS = 4300
+_TOO_MANY_DIGITS = re.compile(rf"\d{{{MAX_LITERAL_DIGITS + 1}}}")
 
 
 def _parse_poly(text: str, what: str) -> Poly:
+    """A flag literal in ``Poly.parse``'s grammar, no number in it over MAX_LITERAL_DIGITS."""
     try:
+        if _TOO_MANY_DIGITS.search(text):
+            raise ValueError(f"a number has more than {MAX_LITERAL_DIGITS} digits")
         return Poly.parse(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise BadParams(f"cannot parse {what} value {text!r}: {exc}") from exc
 
 
 def _parse_rational(text: str, what: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise BadParams(f"{what} must be a rational like 3/4, got {text!r}") from exc
+    """A flag literal that ``_parse_poly`` reads as a constant, such as ``-3/4``."""
+    value = _parse_poly(text, what)
+    if not value.is_constant():
+        raise BadParams(f"{what} must be a rational like 3/4, got {text!r}")
+    return value.constant_value()
 
 
-def _check_probability(coin: Bernoulli, text: str) -> Bernoulli:
-    if not coin.in_range():
+def _parse_probability(text: str, what: str) -> Fraction:
+    value = _parse_rational(text, what)
+    if not 0 <= value <= 1:
         raise BadParams(f"Bernoulli probability must lie in [0, 1], got {text!r}")
-    return coin
+    return value
 
 
 # a series read recurses through each nested i.i.d. sum, so the nesting is bounded
@@ -108,15 +119,15 @@ def parse_provider(spec: str) -> MomentProvider:
         value = spec[4:]
         if value == "p":
             return Bernoulli(Poly.var("p"))
-        return _check_probability(Bernoulli(_parse_rational(value, "Bernoulli probability")), value)
+        return Bernoulli(_parse_probability(value, "Bernoulli probability"))
     if spec.startswith("iid:"):
         body, _, count = spec[4:].rpartition(":")
         if not body:
             raise BadParams(f"iid spec needs iid:<base>:<m>, got {spec!r}")
-        copies = _parse_int(count)
-        if copies < 1:
-            raise BadParams(f"iid spec needs at least one copy, got {spec!r}")
-        return IidSum(parse_provider(body), copies)
+        copies = _parse_rational(count, "iid copy count")
+        if copies.denominator != 1 or copies < 1:
+            raise BadParams(f"iid spec needs a whole number of copies, at least one, got {spec!r}")
+        return IidSum(parse_provider(body), int(copies))
     raise BadParams(f"unknown provider spec {spec!r}")
 
 
@@ -127,8 +138,8 @@ def parse_provider(spec: str) -> MomentProvider:
 def _exact_text():
     """Lift the interpreter's limit on the digits of an int made text, and restore it after.
 
-    Exact values print in full while they become text; parsing runs outside, so a flag
-    literal over the limit stays a usage error.  Python before 3.10.7 has no limit.
+    ``main`` runs each command inside, so exact values print in full; flag literals keep
+    their own bound, MAX_LITERAL_DIGITS.  Python before 3.10.7 has no limit.
     """
     set_limit = getattr(sys, "set_int_max_str_digits", None)
     if set_limit is None:
@@ -246,8 +257,7 @@ def _reject_unread(args, reads: set[str], flags: dict[str, str], target: str) ->
 def _order_param(raw: str | None, name: str, meta_params: dict[str, str]) -> Poly:
     """An order parameter from its flag, symbolic when the flag is absent."""
     value = _parse_poly(raw, name) if raw is not None else Poly.var(name)
-    with _exact_text():
-        meta_params[name] = str(value)
+    meta_params[name] = str(value)
     return value
 
 
@@ -288,7 +298,7 @@ def _family_rows(args) -> tuple[list[dict], dict]:
             if var == "x":
                 at = _parse_poly(raw, var)
             elif var == "p":  # the probability of ber:p
-                pins[var] = _check_probability(Bernoulli(_parse_rational(raw, var)), raw).p
+                pins[var] = Poly.const(_parse_probability(raw, var))
             else:
                 pins[var] = _parse_poly(raw, var)
 
@@ -296,20 +306,19 @@ def _family_rows(args) -> tuple[list[dict], dict]:
     with_latex = args.format in ("json", "latex")
     series = None if family == _STIRLING1 else _family_series(args, at, meta_params)
     rows: list[dict] = []
-    with _exact_text():
-        if series is None:
-            for n in range(n_max + 1):
-                for k in range(n + 1):
-                    value = families.stirling_first(n, k)
-                    rows.append({"n": n, "k": k, "value": str(value)})
-                    if with_latex:
-                        rows[-1]["latex"] = _latex_fraction(value)
-        else:
-            for n, value in enumerate(series.egf_coefficients(n_max)):
-                value = value.substitute(pins) if pins else value
-                rows.append({"n": n, "value": str(value)})
+    if series is None:
+        for n in range(n_max + 1):
+            for k in range(n + 1):
+                value = families.stirling_first(n, k)
+                rows.append({"n": n, "k": k, "value": str(value)})
                 if with_latex:
-                    rows[-1]["latex"] = poly_latex(value)
+                    rows[-1]["latex"] = _latex_fraction(value)
+    else:
+        for n, value in enumerate(series.egf_coefficients(n_max)):
+            value = value.substitute(pins) if pins else value
+            rows.append({"n": n, "value": str(value)})
+            if with_latex:
+                rows[-1]["latex"] = poly_latex(value)
     meta = {"command": "table", "family": family, "n_max": n_max, "params": meta_params}
     return rows, meta
 
@@ -338,36 +347,35 @@ def cmd_verify(args) -> int:
         raise BadParams(f"no identity matches {' '.join(args.patterns)}")
     reports = identities.verify_all(ids, max_n=args.n, extra=extra)
 
-    with _exact_text():
-        fmt = args.format
-        if fmt == "json":
-            cases = []
-            for r in reports:
-                mismatch = None
-                if r.mismatch is not None:
-                    mismatch = {"n": r.mismatch.n, "diff": str(r.mismatch.diff)}
-                cases.append({"id": r.id, "maxN": r.max_n, "equal": r.equal, "mismatch": mismatch})
-            _emit(json.dumps({"version": SCHEMA_VERSION, "cases": cases}, ensure_ascii=False, indent=2))
-        elif fmt == "csv":
-            rows = [[r.id, r.max_n, "false", r.mismatch.n, str(r.mismatch.diff)] if r.mismatch
-                    else [r.id, r.max_n, "true", "", ""] for r in reports]
-            _emit(_csv(["id", "maxN", "equal", "mismatch_n", "diff"], rows))
-        elif fmt == "latex":
-            lines = ["\\begin{tabular}{ll}", "\\hline", "id & status \\\\", "\\hline"]
-            for r in reports:
-                status = "ok" if r.equal else f"mismatch at $n={r.mismatch.n}$"
-                lines.append(f"\\verb|{r.id}| & {status} \\\\")
-            lines += ["\\hline", "\\end{tabular}"]
-            _emit("\n".join(lines))
-        else:
-            for r in reports:
-                if r.equal:
-                    _emit(f"{r.id}: ok (n <= {r.max_n})")
-                else:
-                    where = f" [{r.mismatch.instance}]" if r.mismatch.instance else ""
-                    _emit(f"{r.id}: MISMATCH at n={r.mismatch.n}{where} diff = {r.mismatch.diff}")
-            equal_count = sum(r.equal for r in reports)
-            _emit(f"{equal_count}/{len(reports)} identities verified")
+    fmt = args.format
+    if fmt == "json":
+        cases = []
+        for r in reports:
+            mismatch = None
+            if r.mismatch is not None:
+                mismatch = {"n": r.mismatch.n, "diff": str(r.mismatch.diff)}
+            cases.append({"id": r.id, "maxN": r.max_n, "equal": r.equal, "mismatch": mismatch})
+        _emit(json.dumps({"version": SCHEMA_VERSION, "cases": cases}, ensure_ascii=False, indent=2))
+    elif fmt == "csv":
+        rows = [[r.id, r.max_n, "false", r.mismatch.n, str(r.mismatch.diff)] if r.mismatch
+                else [r.id, r.max_n, "true", "", ""] for r in reports]
+        _emit(_csv(["id", "maxN", "equal", "mismatch_n", "diff"], rows))
+    elif fmt == "latex":
+        lines = ["\\begin{tabular}{ll}", "\\hline", "id & status \\\\", "\\hline"]
+        for r in reports:
+            status = "ok" if r.equal else f"mismatch at $n={r.mismatch.n}$"
+            lines.append(f"\\verb|{r.id}| & {status} \\\\")
+        lines += ["\\hline", "\\end{tabular}"]
+        _emit("\n".join(lines))
+    else:
+        for r in reports:
+            if r.equal:
+                _emit(f"{r.id}: ok (n <= {r.max_n})")
+            else:
+                where = f" [{r.mismatch.instance}]" if r.mismatch.instance else ""
+                _emit(f"{r.id}: MISMATCH at n={r.mismatch.n}{where} diff = {r.mismatch.diff}")
+        equal_count = sum(r.equal for r in reports)
+        _emit(f"{equal_count}/{len(reports)} identities verified")
     return 0 if all(r.equal for r in reports) else 1
 
 
@@ -397,16 +405,15 @@ def cmd_mc(args) -> int:
         raise BadParams("--seed must be non-negative")
 
     point = {"λ": lam_v, "x": x_v}
-    with _exact_text():
-        meta: dict = {
-            "command": "mc",
-            "identity": args.identity,
-            "n": n,
-            "lambda": str(lam_v),
-            "x": str(x_v),
-            "samples": samples,
-            "seed": seed,
-        }
+    meta: dict = {
+        "command": "mc",
+        "identity": args.identity,
+        "n": n,
+        "lambda": str(lam_v),
+        "x": str(x_v),
+        "samples": samples,
+        "seed": seed,
+    }
     if args.identity == "thm3.1":
         provider = parse_provider(args.provider if args.provider is not None else "uniform01")
         target = ShefferSequence(provider).polynomial(n, X + Poly.var("y"))
@@ -428,38 +435,40 @@ def cmd_mc(args) -> int:
     if provider.columns > MC_MAX_STREAMS:
         raise BadParams(f"mc samples at most {MC_MAX_STREAMS} uniform streams; "
                         f"{provider.label()} needs {provider.columns}")
-    result = mc_estimate(target, provider, point, samples, seed)
-    exact_float = float(exact)
+    try:
+        result = mc_estimate(target, provider, point, samples, seed)
+        exact_float = float(exact)
+    except OverflowError as exc:  # the pinned target or the exact value passes the float range
+        raise BadParams(f"mc needs values in the float range: {exc}") from exc
     if result.std_error > 0:
         z = (result.estimate - exact_float) / result.std_error
     else:
         z = 0.0 if result.estimate == exact_float else float("inf")
     passed = abs(z) <= 3.0
 
-    with _exact_text():
-        report = {
-            **meta,
-            "exact": f"{exact.numerator}/{exact.denominator}",
-            "exact_float": exact_float,
-            "estimate": result.estimate,
-            "std_error": result.std_error,
-            "z": z,
-            "pass": passed,
-        }
-        fmt = args.format
-        if fmt == "json":
-            _emit(json.dumps({"version": SCHEMA_VERSION, **report}, ensure_ascii=False, indent=2))
-        elif fmt == "csv":
-            _emit(_csv(list(report), [list(report.values())]))
-        elif fmt == "latex":
-            lines = ["\\begin{tabular}{ll}", "\\hline"]
-            for key, value in report.items():
-                lines.append(f"{key} & {value} \\\\")
-            lines += ["\\hline", "\\end{tabular}"]
-            _emit("\n".join(lines))
-        else:
-            for key, value in report.items():
-                _emit(f"{key}: {value}")
+    report = {
+        **meta,
+        "exact": f"{exact.numerator}/{exact.denominator}",
+        "exact_float": exact_float,
+        "estimate": result.estimate,
+        "std_error": result.std_error,
+        "z": z,
+        "pass": passed,
+    }
+    fmt = args.format
+    if fmt == "json":
+        _emit(json.dumps({"version": SCHEMA_VERSION, **report}, ensure_ascii=False, indent=2))
+    elif fmt == "csv":
+        _emit(_csv(list(report), [list(report.values())]))
+    elif fmt == "latex":
+        lines = ["\\begin{tabular}{ll}", "\\hline"]
+        for key, value in report.items():
+            lines.append(f"{key} & {value} \\\\")
+        lines += ["\\hline", "\\end{tabular}"]
+        _emit("\n".join(lines))
+    else:
+        for key, value in report.items():
+            _emit(f"{key}: {value}")
     return 0 if passed else 1
 
 
@@ -515,7 +524,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _exact_text():
+            return args.func(args)
     except (BadParams, UnsamplableProvider, OrderExceeded, DegreeLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"run 'degenpoly {args.command} --help' for usage", file=sys.stderr)

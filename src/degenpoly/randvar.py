@@ -9,11 +9,10 @@ the exact layer never touches floats.
 
 from __future__ import annotations
 
-import itertools
 import os
 import threading
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .poly import Poly, PolyLike, ZERO, ONE, as_poly
 from .series import OrderExceeded, Series
@@ -251,13 +250,14 @@ def expect_polynomial(p: Poly, provider: MomentProvider) -> Poly:
 # value equals that copy-major layout bit for bit.
 #
 # mc_estimate splits the chunks into one contiguous part per available CPU.
-# A part advances its streams to its first chunk, draws each chunk into one
-# reused buffer (plus scratch for i.i.d. copies), evaluates the target there
-# by Horner's rule in place and returns each chunk's size, mean and centred
-# sum of squares.  numpy releases the interpreter lock inside these kernels,
-# so the parts run in parallel threads.  The calling thread takes part 0 and
-# merges every chunk in chunk order, so the estimate is the same for any
-# number of parts and bit-reproducible for a fixed (seed, samples) pair.
+# One function, _part_moments, samples a part: it advances its streams to its
+# first chunk, and for each chunk it draws into one reused buffer (plus
+# scratch for i.i.d. copies), evaluates the target there by Horner's rule in
+# place and keeps the chunk's size, mean and centred sum of squares.  numpy
+# releases the interpreter lock inside these kernels, so the parts run in
+# parallel threads.  The calling thread takes part 0 and merges every chunk
+# in chunk order, so the estimate is the same for any number of parts and
+# bit-reproducible for a fixed (seed, samples) pair.
 # Memory is a few CHUNK-sized buffers per part, not the sample count.
 
 CHUNK = 1 << 16
@@ -277,46 +277,34 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _chunk_draws(provider: MomentProvider, samples: int, seed: int,
-                 first: int, last: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Draws of chunks [first, last), each with a spare array of its size.
+def _part_moments(provider: MomentProvider, samples: int, seed: int, first: int, last: int,
+                  coeffs: Sequence[float]) -> list[tuple[int, float, float]]:
+    """(size, mean, centred sum of squares) of the target at each chunk in [first, last).
 
-    Both are views of one buffer that every chunk reuses: the draws at its
-    head, the spare array after them, over the scratch of i.i.d. copies.
+    Each column's stream starts where chunk ``first`` begins.  Every chunk is
+    drawn into the head of one reused buffer, and the target is evaluated in
+    the spare array after the draws, over the scratch of i.i.d. copies.
+    Horner's rule there gives ``np.polyval(coeffs, draws)``'s values: that
+    starts from 0 * draws + coeffs[0], which is coeffs[0] for finite draws,
+    and then makes the same products and sums.
     """
     import numpy as np
 
-    start = first * CHUNK
-    streams = [
-        np.random.Generator(np.random.PCG64(seed).advance(c * samples + start))
-        for c in range(provider.columns)
-    ]
+    streams = [np.random.Generator(np.random.PCG64(seed).advance(c * samples + first * CHUNK))
+               for c in range(provider.columns)]
     buffer = np.empty(max(provider.buffers, 2) * CHUNK)
-    for start in range(start, min(last * CHUNK, samples), CHUNK):
+    moments = []
+    for start in range(first * CHUNK, min(last * CHUNK, samples), CHUNK):
         size = min(CHUNK, samples - start)
         draws = provider.sample_array(streams, size, buffer[:provider.buffers * size])
-        yield draws, buffer[size:2 * size]
-
-
-def _chunk_moments(chunks: Iterable[tuple[np.ndarray, np.ndarray]],
-                   coeffs: Sequence[float]) -> list[tuple[int, float, float]]:
-    """(size, mean, centred sum of squares) of the target at each chunk of draws.
-
-    Horner's rule runs in the spare array.  ``np.polyval(coeffs, draws)``
-    starts from 0 * draws + coeffs[0], which is coeffs[0] for finite draws,
-    and then makes the same products and sums, so the values are the same.
-    """
-    import numpy as np
-
-    moments = []
-    for draws, values in chunks:
+        values = buffer[size:2 * size]
         values.fill(coeffs[0])
         for c in coeffs[1:]:
             values *= draws
             values += c
         mean = float(values.mean())
         values -= mean
-        moments.append((len(values), mean, float(np.square(values, out=values).sum())))
+        moments.append((size, mean, float(np.square(values, out=values).sum())))
     return moments
 
 
@@ -341,8 +329,8 @@ def mc_estimate(
     chunk_count = -(-samples // CHUNK)
     parts = min(_cpu_count(), chunk_count)
     bounds = [chunk_count * i // parts for i in range(parts + 1)]
-    own = _chunk_draws(provider, samples, seed, bounds[0], bounds[1])
-    first = next(own)  # an unsamplable provider fails here, before the target is read
+    # an unsamplable provider fails on this draw of 0 values, before the target is read
+    provider.sample_array([np.random.default_rng(seed)] * provider.columns, 0)
     pinned = target.substitute({name: Fraction(v) for name, v in point.items()})
     extra = pinned.variables() - {"y"}
     if extra:
@@ -356,8 +344,7 @@ def mc_estimate(
 
     def run_part(i: int) -> None:
         try:
-            draws = _chunk_draws(provider, samples, seed, bounds[i], bounds[i + 1])
-            results[i] = _chunk_moments(draws, coeffs)
+            results[i] = _part_moments(provider, samples, seed, bounds[i], bounds[i + 1], coeffs)
         except BaseException as exc:  # raised again by the calling thread
             results[i] = exc
 
@@ -365,7 +352,7 @@ def mc_estimate(
     for thread in threads:
         thread.start()
     try:
-        results[0] = _chunk_moments(itertools.chain((first,), own), coeffs)
+        results[0] = _part_moments(provider, samples, seed, 0, bounds[1], coeffs)
     finally:
         for thread in threads:
             thread.join()

@@ -8,8 +8,10 @@ product, polynomial ring operations from a plain map of ``Fraction``
 coefficients, and Monte-Carlo draws from one generator in copy-major
 order.  Expected values asserted in the tests were computed with these.
 
-The last two helpers are not oracles: ``independent_sum_moments`` and
-``sample_chunks`` call the library and only tests read them.
+The last two helpers are not oracles, and only tests read them:
+``independent_sum_moments`` multiplies the library's moment series, and
+``sample_chunks`` draws through the providers' ``sample_array`` from PCG64
+streams it builds itself, sharing no code with the Monte-Carlo sampler.
 """
 
 from fractions import Fraction
@@ -19,7 +21,7 @@ from degenpoly import (
     Bernoulli, CustomMoments, IidSum, MomentProvider, Poly, Series, Uniform01, ONE, ZERO, X, A,
     falling_factorial,
 )
-from degenpoly.randvar import CHUNK, _chunk_draws
+from degenpoly.randvar import CHUNK
 
 
 def classical_bernoulli(n_max: int) -> list[Poly]:
@@ -154,6 +156,13 @@ def independent_sum_moments(first: MomentProvider, second: MomentProvider, n_max
 
 
 def sample_chunks(provider: MomentProvider, samples: int, seed: int):
-    """The provider's ``samples`` draws, in order, as arrays of at most CHUNK values."""
-    for draws, _ in _chunk_draws(provider, samples, seed, 0, -(-samples // CHUNK)):
-        yield draws.copy()
+    """The provider's ``samples`` draws, in order, as arrays of at most CHUNK values.
+
+    Column c draws from its own PCG64(seed) advanced by c * samples draws.
+    """
+    import numpy as np
+
+    streams = [np.random.Generator(np.random.PCG64(seed).advance(c * samples))
+               for c in range(provider.columns)]
+    for start in range(0, samples, CHUNK):
+        yield provider.sample_array(streams, min(CHUNK, samples - start))

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from degenpoly import DEGREE_LIMIT, Poly, bernoulli_polynomials, euler_polynomials, sheffer_type, X
 from degenpoly.cli import (
-    FORMATS, MAX_IID_NESTING, MC_MAX_STREAMS, main, parse_provider, poly_latex, BadParams,
-    _FAMILY_NAMES,
+    FORMATS, MAX_IID_NESTING, MAX_LITERAL_DIGITS, MC_MAX_STREAMS, main, parse_provider, poly_latex,
+    BadParams, _FAMILY_NAMES,
 )
 from degenpoly.randvar import CHUNK, Bernoulli, IidSum, McEstimate, Uniform01, Zero
 from degenpoly import LAM
@@ -351,12 +352,56 @@ def test_an_exact_value_of_any_size_prints(capsys):
         assert Poly.parse(value) == Poly.const(x * x) - LAM * x
 
 
-@pytest.mark.skipif(not _int_text_limit(), reason="this Python has no limit on int text")
 def test_a_flag_literal_over_the_int_text_limit_is_a_usage_error(capsys):
-    digits = _int_text_limit() + 1
+    # the CLI's own bound, so a Python with no limit on int text reads the same literals
+    digits = MAX_LITERAL_DIGITS + 1
     code, out, err = run(capsys, "table", "falling-lambda", "--n", "2", "--x", "9" * digits)
     assert (code, out) == (2, "")
     assert err.startswith("error: cannot parse x value")
+
+
+# each flag that reads a rational, as an argv around its literal; the `--flag=value` form hands
+# a literal that starts with '-' to the CLI's parser instead of to argparse's option matching
+_RATIONAL_FLAGS = {
+    "table --lambda": ("table", "deg-bernoulli", "--n", "2", "--lambda={}"),
+    "table --p": ("table", "sheffer-y", "--provider", "ber:p", "--n", "2", "--p={}"),
+    "ber:<p>": ("table", "sheffer-y", "--n", "2", "--provider=ber:{}"),
+    "mc --lambda": ("mc", "thm3.1", "--lambda={}", "--x", "1/4", "--samples", "100"),
+    "mc --x": ("mc", "thm3.1", "--lambda", "1/8", "--x={}", "--samples", "100"),
+}
+_LONGEST = "1/" + "9" * MAX_LITERAL_DIGITS
+_RATIONAL_CASES = [
+    # Fraction's decimal and exponent forms are not in the grammar, and no number is longer
+    *[(flag, literal, 2) for flag in _RATIONAL_FLAGS
+      for literal in ("0.125", "1e3", "5e-1", "1e300000", _LONGEST + "9")],
+    *[(flag, literal, 0) for flag in _RATIONAL_FLAGS for literal in (" 3/4", "+1/8", _LONGEST)],
+    # a negative probability is out of range
+    *[(flag, "-1/2", 2 if flag in ("table --p", "ber:<p>") else 0) for flag in _RATIONAL_FLAGS],
+    # an x past the float range, which the sampler and the exact value cannot take
+    ("mc --x", "1" + "0" * 400, 2),
+]
+
+
+_RATIONAL_IDS = [f"{flag}={literal if len(literal) < 12 else f'<{len(literal)} chars>'}"
+                 for flag, literal, _ in _RATIONAL_CASES]
+
+
+@pytest.mark.parametrize("flag, literal, code", _RATIONAL_CASES, ids=_RATIONAL_IDS)
+def test_every_rational_flag_reads_one_grammar(flag, literal, code):
+    # a fresh process, so that a traceback would show on stderr
+    argv = [arg.format(literal) for arg in _RATIONAL_FLAGS[flag]]
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "degenpoly.cli", *argv],
+                          env=env, capture_output=True, text=True)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == code
+    assert "Traceback" not in done.stderr
+    errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == (code == 2)
+    assert (done.stdout == "") == (code == 2)
+    if literal == "1e300000":
+        assert elapsed < 0.5  # no 300,001-digit value is built, parsed or printed
 
 
 @pytest.mark.parametrize(
