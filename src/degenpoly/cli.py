@@ -6,13 +6,14 @@ Each parameter is set by its flag alone; the defaults are argparse's (``--n``
 serialized as num/den strings, never floats, so emitted JSON round-trips
 exactly, and exact values print in full however many digits they have.
 
-Every rational or polynomial in a flag is read in one grammar, ``Poly.parse``'s,
+Every number or polynomial in a flag is read in one grammar, ``Poly.parse``'s,
 through ``_parse_poly``, with at most MAX_LITERAL_DIGITS digits per number.  A
-flag that takes a rational (``mc --lambda``/``--x``, ``table --p``, ``ber:<p>``,
-an ``iid:`` copy count) needs a constant there: an optional sign, then an
-integer or ``a/b``.
+rational (``mc --lambda``/``--x``, ``table --p``, ``ber:<p>``) is a constant there,
+and a count (``--n``, ``--samples``, ``--seed``, ``--m``, ``--l``, an ``iid:`` copy
+count) a whole number written as it prints, with a least value (``_parse_count``).
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification or Monte-Carlo failure, 2 usage error, which
+includes an ``--n`` that reaches the degree limit and an ``mc`` result past the float range.
 
 ``run`` is the process entry (the ``degenpoly`` script and ``python -m
 degenpoly.cli``): it calls ``main`` and then freezes the objects the process
@@ -36,7 +37,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import DegreeLimitExceeded, Poly, VAR_NAMES, ZERO, X
+from .poly import DEGREE_LIMIT, DegreeLimitExceeded, Poly, VAR_NAMES, ZERO, X
 from .series import OrderExceeded, Series
 from . import families
 from .randvar import (
@@ -58,12 +59,19 @@ class BadParams(Exception):
     """Invalid command parameters (reported with usage text, exit code 2)."""
 
 
-def check_common(args) -> None:
-    """Check the flags every command shares: a known ``--format`` and a non-negative ``--n``."""
+def check_common(args, lift: int | None) -> int:
+    """Check a known ``--format`` and the count ``--n``, and return n.
+
+    Coefficient n holds some power n + ``lift`` whatever the other flags are, so from
+    DEGREE_LIMIT on the kernel would refuse it, after hours of smaller ones; None: no bound.
+    """
     if args.format not in FORMATS:
         raise BadParams(f"unknown format {args.format!r}; pick one of {', '.join(FORMATS)}")
-    if args.n < 0:
-        raise BadParams("--n must be non-negative")
+    n = _parse_count(args.n, "--n", 0)
+    if lift is not None and n + lift >= DEGREE_LIMIT:
+        raise BadParams(f"--n must be below {DEGREE_LIMIT - lift}, "
+                        f"so exponents stay below {DEGREE_LIMIT}")
+    return n
 
 
 # -- shared parsing helpers -------------------------------------------------------
@@ -91,6 +99,17 @@ def _parse_rational(text: str, what: str) -> Fraction:
     if not value.is_constant():
         raise BadParams(f"{what} must be a rational like 3/4, got {text!r}")
     return value.constant_value()
+
+
+def _parse_count(text: str, what: str, least: int) -> int:
+    """A whole number that ``_parse_poly`` reads and prints back as ``text``, at least ``least``."""
+    value = _parse_poly(text, what)
+    if str(value) != text or not value.is_constant() or "/" in text:
+        raise BadParams(f"cannot parse {what} value {text!r}: a count is written as it prints")
+    count = value.constant_value().numerator
+    if count < least:
+        raise BadParams(f"{what} must be at least {least}, got {text}")
+    return count
 
 
 def _parse_probability(text: str, what: str) -> Fraction:
@@ -124,10 +143,7 @@ def parse_provider(spec: str) -> MomentProvider:
         body, _, count = spec[4:].rpartition(":")
         if not body:
             raise BadParams(f"iid spec needs iid:<base>:<m>, got {spec!r}")
-        copies = _parse_rational(count, "iid copy count")
-        if copies.denominator != 1 or copies < 1:
-            raise BadParams(f"iid spec needs a whole number of copies, at least one, got {spec!r}")
-        return IidSum(parse_provider(body), int(copies))
+        return IidSum(parse_provider(body), _parse_count(count, "iid copy count", 1))
     raise BadParams(f"unknown provider spec {spec!r}")
 
 
@@ -283,9 +299,8 @@ def _family_series(args, at: Poly, meta_params: dict[str, str]) -> Series:
     return families.sheffer_type_series(a, b, at)
 
 
-def _family_rows(args) -> tuple[list[dict], dict]:
+def _family_rows(args, n_max: int) -> tuple[list[dict], dict]:
     family = args.family
-    n_max = args.n
     _reject_unread(args, _FAMILY_FLAGS[family], _TABLE_FLAGS, family)
     pins: dict[str, Poly] = {}
     meta_params: dict[str, str] = {}
@@ -324,8 +339,9 @@ def _family_rows(args) -> tuple[list[dict], dict]:
 
 
 def cmd_table(args) -> int:
-    check_common(args)
-    rows, meta = _family_rows(args)
+    # coefficient n holds λ^n where the Bernoulli base is a factor, else λ^(n−1) from e_λ
+    lift = 0 if _HYBRID_ORDERS.get(args.family, (0,))[0] else -1
+    rows, meta = _family_rows(args, check_common(args, None if args.family == _STIRLING1 else lift))
     columns = ["n", "k", "value"] if args.family == _STIRLING1 else ["n", "value"]
     _emit(_render_rows(rows, columns, args.format, meta))
     return 0
@@ -337,7 +353,7 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     from . import identities
 
-    check_common(args)
+    n = check_common(args, 0)  # every identity holds x^n at n
     extra = [identities.broken_case()] if args.inject_fault else []
     try:
         ids = identities.select_ids(args.patterns or None, extra)
@@ -345,7 +361,7 @@ def cmd_verify(args) -> int:
         raise BadParams(str(exc)) from exc
     if not ids:
         raise BadParams(f"no identity matches {' '.join(args.patterns)}")
-    reports = identities.verify_all(ids, max_n=args.n, extra=extra)
+    reports = identities.verify_all(ids, max_n=n, extra=extra)
 
     fmt = args.format
     if fmt == "json":
@@ -391,18 +407,13 @@ MC_MAX_STREAMS = 4096
 
 def cmd_mc(args) -> int:
     _reject_unread(args, _MC_READS[args.identity], _MC_FLAGS, args.identity)
-    check_common(args)
-    n = args.n
+    n = check_common(args, 0)  # the target holds y^n
     if args.lam is None or args.x is None:
         raise BadParams("mc needs explicit --lambda and --x rationals")
     lam_v = _parse_rational(args.lam, "lambda")
     x_v = _parse_rational(args.x, "x")
-    samples = args.samples
-    seed = args.seed
-    if samples < 2:
-        raise BadParams("--samples must be at least 2, so the standard error is defined")
-    if seed < 0:
-        raise BadParams("--seed must be non-negative")
+    samples = _parse_count(args.samples, "--samples", 2)  # two draws give a standard error
+    seed = _parse_count(args.seed, "--seed", 0)
 
     point = {"λ": lam_v, "x": x_v}
     meta: dict = {
@@ -420,10 +431,8 @@ def cmd_mc(args) -> int:
         exact = families.falling_factorial(X, n).evaluate(point)
         meta["provider"] = provider.label()
     else:  # thm3.7
-        m = args.m if args.m is not None else 2
-        l = args.l if args.l is not None else 1
-        if not 1 <= l <= m:
-            raise BadParams("thm3.7 needs integers m >= l >= 1")
+        l = _parse_count("1" if args.l is None else args.l, "--l", 1)
+        m = _parse_count("2" if args.m is None else args.m, "--m", l)
         outer = IidSum(Bernoulli(Fraction(1, 2)), m)
         provider = IidSum(Bernoulli(Fraction(1, 2)), l)
         target = ShefferSequence(outer).polynomial(n, X + Poly.var("y"))
@@ -440,10 +449,10 @@ def cmd_mc(args) -> int:
         exact_float = float(exact)
     except OverflowError as exc:  # the pinned target or the exact value passes the float range
         raise BadParams(f"mc needs values in the float range: {exc}") from exc
-    if result.std_error > 0:
-        z = (result.estimate - exact_float) / result.std_error
-    else:
+    if result.std_error == 0:
         z = 0.0 if result.estimate == exact_float else float("inf")
+    else:  # a nan spread gives a nan z, which never passes
+        z = (result.estimate - exact_float) / result.std_error
     passed = abs(z) <= 3.0
 
     report = {
@@ -482,16 +491,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, n: int, with_mc: bool = False):
-        p.add_argument("--n", type=int, default=n, help="largest index n")
+    def common(p: argparse.ArgumentParser, n: str, with_mc: bool = False):
+        p.add_argument("--n", default=n, help="largest index n")
         p.add_argument("--format", default="plain", help="plain, json, csv or latex")
         if with_mc:
-            p.add_argument("--samples", type=int, default=100_000)
-            p.add_argument("--seed", type=int, default=42)
+            p.add_argument("--samples", default="100000")
+            p.add_argument("--seed", default="42")
 
     table = sub.add_parser("table", help="emit a family value table")
     table.add_argument("family", choices=_FAMILY_NAMES)
-    common(table, n=10)
+    common(table, n="10")
     table.add_argument("--lambda", dest="lam", default=None, help="pin λ (rational or polynomial)")
     table.add_argument("--x", default=None, help="evaluation argument (rational, 0, or x)")
     table.add_argument("--p", default=None, help="pin p (rational)")
@@ -502,19 +511,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="check registered identities")
     verify.add_argument("patterns", nargs="*", help="identity ids or globs (default: all)")
-    common(verify, n=8)
+    common(verify, n="8")
     verify.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     verify.set_defaults(func=cmd_verify)
 
     mc = sub.add_parser("mc", help="Monte-Carlo spot check of an expectation identity")
     mc.add_argument("identity", choices=["thm3.1", "thm3.7"])
-    common(mc, n=1, with_mc=True)
+    common(mc, n="1", with_mc=True)
     mc.add_argument("--provider", default=None,
                     help="sampling provider (thm3.1; default uniform01)")
     mc.add_argument("--lambda", dest="lam", default=None, help="rational value for λ")
     mc.add_argument("--x", default=None, help="rational value for x")
-    mc.add_argument("--m", type=int, default=None, help="outer copy count (thm3.7)")
-    mc.add_argument("--l", type=int, default=None, help="averaged copy count (thm3.7)")
+    mc.add_argument("--m", default=None, help="outer copy count (thm3.7)")
+    mc.add_argument("--l", default=None, help="averaged copy count (thm3.7)")
     mc.set_defaults(func=cmd_mc)
 
     return parser

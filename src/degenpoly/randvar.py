@@ -9,6 +9,7 @@ the exact layer never touches floats.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from fractions import Fraction
@@ -147,8 +148,9 @@ class IidSum(MomentProvider):
         object.__setattr__(self, "m", m)
 
     def mgf(self) -> Series:
-        # independence: the moment series of the sum is the m-th power
-        return self.base.mgf().pow_int(self.m)
+        # independence: the moment series of the sum is the m-th power, taken as exp(m·log) so
+        # that a read recurses a fixed depth however large m is (square-and-multiply: log2 m)
+        return self.base.mgf().pow(self.m)
 
     @property
     def columns(self) -> int:
@@ -286,7 +288,9 @@ def _part_moments(provider: MomentProvider, samples: int, seed: int, first: int,
     the spare array after the draws, over the scratch of i.i.d. copies.
     Horner's rule there gives ``np.polyval(coeffs, draws)``'s values: that
     starts from 0 * draws + coeffs[0], which is coeffs[0] for finite draws,
-    and then makes the same products and sums.
+    and then makes the same products and sums.  Values past the float range
+    are left to ``mc_estimate``'s check of the merged scalars, so numpy warns
+    of none (``errstate`` holds in the thread that enters it).
     """
     import numpy as np
 
@@ -294,17 +298,18 @@ def _part_moments(provider: MomentProvider, samples: int, seed: int, first: int,
                for c in range(provider.columns)]
     buffer = np.empty(max(provider.buffers, 2) * CHUNK)
     moments = []
-    for start in range(first * CHUNK, min(last * CHUNK, samples), CHUNK):
-        size = min(CHUNK, samples - start)
-        draws = provider.sample_array(streams, size, buffer[:provider.buffers * size])
-        values = buffer[size:2 * size]
-        values.fill(coeffs[0])
-        for c in coeffs[1:]:
-            values *= draws
-            values += c
-        mean = float(values.mean())
-        values -= mean
-        moments.append((size, mean, float(np.square(values, out=values).sum())))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(first * CHUNK, min(last * CHUNK, samples), CHUNK):
+            size = min(CHUNK, samples - start)
+            draws = provider.sample_array(streams, size, buffer[:provider.buffers * size])
+            values = buffer[size:2 * size]
+            values.fill(coeffs[0])
+            for c in coeffs[1:]:
+                values *= draws
+                values += c
+            mean = float(values.mean())
+            values -= mean
+            moments.append((size, mean, float(np.square(values, out=values).sum())))
     return moments
 
 
@@ -321,6 +326,9 @@ def mc_estimate(
     the standard error of the mean.  Each chunk's mean and centred sum of
     squares are merged pairwise (Chan, Golub & LeVeque, 1979), in chunk
     order, so the result does not depend on how many threads drew them.
+    The merge starts from the first chunk's own figures.  A merged mean or
+    sum of squares past the float range raises ``OverflowError``: a chunk
+    with inf or nan keeps them non-finite, and so does a merge that overflows.
     """
     import numpy as np
 
@@ -361,12 +369,14 @@ def mc_estimate(
         if isinstance(result, BaseException):
             raise result
         moments += result
-    count, mean, m2 = 0, 0.0, 0.0
-    for size, chunk_mean, chunk_m2 in moments:
+    count, mean, m2 = moments[0]
+    for size, chunk_mean, chunk_m2 in moments[1:]:
         total = count + size
         delta = chunk_mean - mean
         mean += delta * (size / total)
         m2 += chunk_m2 + delta * delta * (count * size / total)
         count = total
+    if not (math.isfinite(mean) and math.isfinite(m2)):
+        raise OverflowError("the sampled values of the target pass the float range")
     std_error = float(np.sqrt(m2 / (samples - 1)) / np.sqrt(samples)) if samples > 1 else 0.0
     return McEstimate(estimate=mean, std_error=std_error, samples=samples)

@@ -1,7 +1,9 @@
 import contextlib
+import csv
 import gc
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from degenpoly import DEGREE_LIMIT, Poly, bernoulli_polynomials, euler_polynomials, sheffer_type, X
 from degenpoly.cli import (
@@ -538,6 +540,203 @@ def test_mc_exit_codes(case):
             code = exc.code
     # 1 is a failed Monte-Carlo check, which only a well-formed argv may report
     assert (code == 2) if bad else (code in (0, 1)), argv
+
+
+# each flag that reads a count, as an argv around its literal
+_COUNT_FLAGS = {
+    "table --n": ("table", "stirling1", "--n={}"),
+    "verify --n": ("verify", "thm2.4", "--n={}"),
+    "mc --n": ("mc", "thm3.1", "--lambda", "1/8", "--x", "1/4", "--samples", "200", "--n={}"),
+    "--samples": ("mc", "thm3.1", "--lambda", "1/8", "--x", "1/4", "--samples={}"),
+    "--seed": ("mc", "thm3.1", "--lambda", "1/8", "--x", "1/4", "--samples", "200", "--seed={}"),
+    "--m": ("mc", "thm3.7", "--lambda", "1/8", "--x", "1/4", "--samples", "200", "--m={}"),
+    "--l": ("mc", "thm3.7", "--lambda", "1/8", "--x", "1/4", "--samples", "200", "--m", "3",
+            "--l={}"),
+    "iid copy count": ("table", "sheffer-y", "--n", "2", "--provider=iid:ber:1/2:{}"),
+}
+# a count is written as it prints: no '_', exponent, point, fraction, '+', space or leading 0
+_MALFORMED_COUNTS = ("1_000", "2e3", "2.0", "4/2", "+2", " 2", "2 ", "02", "-0", "x", "",
+                     "9" * (MAX_LITERAL_DIGITS + 1))
+
+
+@pytest.mark.parametrize("literal", _MALFORMED_COUNTS,
+                         ids=lambda literal: repr(literal) if len(literal) < 12 else "longest+1")
+@pytest.mark.parametrize("flag", _COUNT_FLAGS)
+def test_every_count_flag_reads_one_grammar(flag, literal, capsys):
+    argv = [arg.format(literal) for arg in _COUNT_FLAGS[flag]]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith("error: cannot parse ")
+    # a well-formed count is read
+    code, out, err = run(capsys, *[arg.format("3") for arg in _COUNT_FLAGS[flag]])
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("flag, literal", [("table --n", "-1"), ("--samples", "1"),
+                                           ("--seed", "-1"), ("--l", "0"), ("--m", "0"),
+                                           ("iid copy count", "0")])
+def test_a_count_below_its_least_value_is_a_usage_error(flag, literal, capsys):
+    code, out, err = run(capsys, *[arg.format(literal) for arg in _COUNT_FLAGS[flag]])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and " must be at least " in err
+
+
+# the first --n each command refuses: coefficient n holds a power that reaches DEGREE_LIMIT
+# there whatever the other flags are: λ^n where the Bernoulli base is a factor and λ^(n−1)
+# from e_λ otherwise; every identity of `verify` holds x^n, and the `mc` target y^n
+_BERNOULLI_FAMILIES = ("deg-bernoulli", "higher-bernoulli", "sheffer-t")
+_TABLE_ARGV = {family: ("table", family) for family in _FAMILY_NAMES if family != "stirling1"}
+_TABLE_ARGV["sheffer-y"] += ("--provider", "uniform01")
+_FIRST_REFUSED_N = {
+    **{argv: DEGREE_LIMIT + (argv[1] not in _BERNOULLI_FAMILIES) for argv in _TABLE_ARGV.values()},
+    ("verify",): DEGREE_LIMIT,
+    ("mc", "thm3.1", "--lambda", "1/8", "--x", "1/4"): DEGREE_LIMIT,
+    ("mc", "thm3.7", "--lambda", "1/8", "--x", "1/4"): DEGREE_LIMIT,
+}
+
+
+@pytest.mark.parametrize("argv, first", _FIRST_REFUSED_N.items(),
+                         ids=[" ".join(argv[:2]) for argv in _FIRST_REFUSED_N])
+def test_an_n_at_the_degree_limit_is_refused_at_once(argv, first, capsys):
+    for n in (first, first + 5, 10 ** 30):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--n", str(n))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --n must be below {first},")
+
+
+@pytest.mark.parametrize("family", _TABLE_ARGV)
+def test_the_refused_n_is_where_a_table_reaches_the_degree_limit(family, capsys):
+    # the value at n holds λ^(n + DEGREE_LIMIT − first): at n = first, λ^DEGREE_LIMIT, which the
+    # kernel refuses
+    first = _FIRST_REFUSED_N[_TABLE_ARGV[family]]
+    code, out, _ = run(capsys, *_TABLE_ARGV[family], "--n", "5", "--x", "x", "--format", "json")
+    assert code == 0
+    top = Poly.parse(json.loads(out)["rows"][5]["value"]).degree("λ")
+    assert first + top - 5 == DEGREE_LIMIT
+
+
+def test_stirling1_has_no_degree_bound(monkeypatch, capsys):
+    seen = []
+
+    def no_rows(args, n_max):  # the rows themselves would take hours
+        seen.append(n_max)
+        return [], {}
+
+    monkeypatch.setattr("degenpoly.cli._family_rows", no_rows)
+    code, _, err = run(capsys, "table", "stirling1", "--n", str(10 * DEGREE_LIMIT))
+    assert (code, err, seen) == (0, "", [10 * DEGREE_LIMIT])
+
+
+# -- the exit-code contract over generated argv -------------------------------------
+
+_LONGEST_INT = "9" * MAX_LITERAL_DIGITS
+# literals with whether they are in the grammar; a literal outside it must end in exit 2
+_RATIONALS = [(t, True) for t in ("0", "7", "1/8", "-1/2", "+3/4", " 2/3", "1/" + _LONGEST_INT,
+                                  "1" + "0" * 154, "1" + "0" * 200, "-1" + "0" * 300,
+                                  "1" + "0" * 400)]
+_RATIONALS += [(t, False) for t in ("1_000", "1e3", "0.125", "-1e300000", "1/0",
+                                    _LONGEST_INT + "9")]
+_POLYS = _RATIONALS + [("x", True), ("a", True), ("x+1", True), ("λ^2", True), ("x^1/2", False)]
+_COUNTS = [(t, True) for t in ("0", "1", "2", "3", "-1")]
+_COUNTS += [(t, False) for t in ("1_0", " 2", "+2", "2/1", "2e0", _LONGEST_INT + "9")]
+_FOUND_X = {n: "1" + "0" * zeros for n, zeros in ((1, 200), (2, 154))}
+
+
+@st.composite
+def _contract_argv(draw) -> tuple[list[str], bool]:
+    """An argv of any command, and whether a literal in it lies outside the grammar."""
+    malformed = False
+
+    def literal(pool):
+        nonlocal malformed
+        text, ok = draw(st.sampled_from(pool))
+        malformed |= not ok
+        return text
+
+    def provider(depth=0):
+        if depth < 3 and draw(st.integers(0, 2)) == 0:
+            return f"iid:{provider(depth + 1)}:{literal(_COUNTS + [(_LONGEST_INT, True)])}"
+        spec = draw(st.sampled_from(("uniform01", "zero", "ber:", "ber:p", "dice", "iid::2")))
+        return spec + literal(_RATIONALS) if spec == "ber:" else spec
+
+    def flag(name, value):  # the value is drawn only for a flag that is given
+        return [f"{name}={value()}"] if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(("table", "verify", "mc")))
+    if command == "table":
+        argv = ["table", draw(st.sampled_from(_FAMILY_NAMES))]
+        for name in ("--lambda", "--x", "--p", "--a", "--b"):
+            argv += flag(name, lambda: literal(_POLYS))
+        argv += flag("--provider", provider)
+    elif command == "verify":
+        argv = ["verify", *draw(st.lists(st.sampled_from(("thm2.4", "thm3.*", "cor2.2-E", "zzz*")),
+                                         max_size=2))]
+        if draw(st.booleans()):
+            argv.append("--inject-fault")
+    else:
+        argv = ["mc", draw(st.sampled_from(("thm3.1", "thm3.7")))]
+        for name in ("--lambda", "--x"):
+            argv += flag(name, lambda: literal(_RATIONALS))
+        argv += ["--samples=" + literal([(t, True) for t in ("1", "2", "200", "2000")]
+                                        + [("1_000", False), ("2e3", False)])]
+        argv += flag("--seed", lambda: literal(_COUNTS + [(_LONGEST_INT, True)]))
+        argv += flag("--provider", provider)
+        for name in ("--m", "--l"):
+            argv += flag(name, lambda: literal(_COUNTS))
+    # every --n drawn here is cheap, or exits 2 before any work
+    argv += flag("--n", lambda: literal([(t, True) for t in ("0", "1", "2", "4", "-3")]
+                                        + _COUNTS[5:]))
+    argv += flag("--format", lambda: draw(st.sampled_from(FORMATS + ("xml",))))
+    return argv, malformed
+
+
+def _mc_figures(out: str, fmt: str) -> tuple[float, float]:
+    """The estimate and standard error of an mc report in any format."""
+    if fmt == "json":
+        doc = json.loads(out)
+    elif fmt == "csv":
+        header, row = csv.reader(io.StringIO(out))
+        doc = dict(zip(header, row))
+    else:
+        sep = ": " if fmt == "plain" else " & "
+        doc = dict(line.removesuffix(" \\\\").split(sep, 1) for line in out.splitlines()
+                   if sep in line)
+    return float(doc["estimate"]), float(doc["std_error"])
+
+
+@settings(max_examples=120, deadline=None)
+@given(_contract_argv())
+# a pass on a nan standard error, and an inf estimate reported as a failure
+@example((["mc", "thm3.1", "--n", "1", "--lambda", "1/8", "--x", _FOUND_X[1], "--samples", "1000"],
+          False))
+@example((["mc", "thm3.1", "--n", "2", "--lambda", "1/8", "--x", _FOUND_X[2], "--samples", "1000"],
+          False))
+# a count outside the grammar, and an i.i.d. sum of very many copies
+@example((["mc", "thm3.1", "--lambda", "1/8", "--x", "1/4", "--samples", "1_000"], True))
+@example((["table", "stirling1", "--n", "1_0"], True))
+@example((["table", "sheffer-y", "--n", "2", "--provider", f"iid:ber:1/2:{_LONGEST_INT}"], False))
+def test_every_input_ends_in_0_1_or_2(case):
+    argv, malformed = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), argv
+    assert sum("error:" in line for line in err.splitlines()) == (code == 2), argv
+    if malformed:
+        assert code == 2, argv
+    if code == 1:  # a mismatch, which only the injected fault makes, or a failed mc check
+        assert "--inject-fault" in argv or argv[0] == "mc", argv
+    if argv[0] == "mc" and code != 2:
+        fmt = next((a.split("=", 1)[1] for a in argv if a.startswith("--format=")), "plain")
+        estimate, std_error = _mc_figures(out, fmt)
+        assert math.isfinite(estimate) and math.isfinite(std_error), argv
 
 
 def test_poly_latex_rendering():

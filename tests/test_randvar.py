@@ -104,6 +104,18 @@ def test_moment_defaults_to_the_moment_series():
     assert coefficients[3] == falling_factorial(P, 3)
 
 
+@pytest.mark.parametrize("depth", [1, 32])
+def test_an_iid_sum_of_very_many_copies_reads_its_moments(depth):
+    # E[(S)_{2,λ}] = m E[(Y)_{2,λ}] + m(m−1) E[Y]^2 for S a sum of m copies of Y, since
+    # (y + z)_{n,λ} is of binomial type; a read no longer recurses once per bit of m
+    m = 2 ** 1000 - 1
+    provider, base = Bernoulli(P), Bernoulli(P)
+    for _ in range(depth):
+        provider, base = IidSum(provider, m), provider
+    mu1, mu2 = base.moment(1), base.moment(2)
+    assert provider.moment(2) == mu2 * m + mu1 * mu1 * (m * (m - 1))
+
+
 def test_iid_sum_needs_copies():
     with pytest.raises(ValueError):
         IidSum(Uniform01(), 0)
@@ -295,6 +307,23 @@ def test_mc_merge_matches_the_full_array(provider):
     values = np.polyval([3.0, -1.0, 0.5], draws)
     assert result.estimate == pytest.approx(np.mean(values), rel=1e-12)
     assert result.std_error == pytest.approx(np.std(values, ddof=1) / np.sqrt(samples), rel=1e-12)
+
+
+def test_mc_merge_starts_from_the_first_chunk():
+    # a huge constant target: merged from count 0, the first chunk's delta² · 0 was inf · 0 = nan
+    for samples in (1000, 2 * CHUNK + 3):
+        result = mc_estimate(Poly.const(10 ** 200), Uniform01(), {}, samples, seed=0)
+        assert (result.estimate, result.std_error) == (1e200, 0.0)
+
+
+@pytest.mark.parametrize("target, samples", [
+    (Poly.const(10 ** 154) * Y * Y, 1000),  # a sum in one chunk passes the float range
+    (Poly.const(Fraction(17, 10) * 10 ** 152) * Y, 2 * CHUNK),  # the merged spread does
+], ids=["chunk", "merge"])
+def test_mc_past_the_float_range_raises_overflow_error(target, samples):
+    pytest.importorskip("numpy")
+    with pytest.raises(OverflowError):  # numpy warns of nothing: the warnings filter is "error"
+        mc_estimate(target, Uniform01(), {}, samples, seed=0)
 
 
 def test_mc_single_sample_has_no_spread():
