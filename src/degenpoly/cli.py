@@ -13,7 +13,8 @@ and a count (``--n``, ``--samples``, ``--seed``, ``--m``, ``--l``, an ``iid:`` c
 count) a whole number written as it prints, with a least value (``_parse_count``).
 
 Exit codes: 0 success, 1 verification or Monte-Carlo failure, 2 usage error, which
-includes an ``--n`` that reaches the degree limit and an ``mc`` result past the float range.
+includes an ``mc`` result past the float range and an ``--n`` from DEGREE_LIMIT − 1 on
+(``check_common``: one bound for every command but ``table stirling1``).
 
 ``run`` is the process entry (the ``degenpoly`` script and ``python -m
 degenpoly.cli``): it calls ``main`` and then freezes the objects the process
@@ -59,17 +60,18 @@ class BadParams(Exception):
     """Invalid command parameters (reported with usage text, exit code 2)."""
 
 
-def check_common(args, lift: int | None) -> int:
+def check_common(args, bounded: bool = True) -> int:
     """Check a known ``--format`` and the count ``--n``, and return n.
 
-    Coefficient n holds some power n + ``lift`` whatever the other flags are, so from
-    DEGREE_LIMIT on the kernel would refuse it, after hours of smaller ones; None: no bound.
+    A bounded command's products at n reach exponent n + 1 at most (thm3.11-E reads index
+    n + 1), so ``--n`` stays below DEGREE_LIMIT − 1: past it the kernel could refuse a
+    product only after hours of smaller ones.
     """
     if args.format not in FORMATS:
         raise BadParams(f"unknown format {args.format!r}; pick one of {', '.join(FORMATS)}")
     n = _parse_count(args.n, "--n", 0)
-    if lift is not None and n + lift >= DEGREE_LIMIT:
-        raise BadParams(f"--n must be below {DEGREE_LIMIT - lift}, "
+    if bounded and n + 1 >= DEGREE_LIMIT:
+        raise BadParams(f"--n must be below {DEGREE_LIMIT - 1}, "
                         f"so exponents stay below {DEGREE_LIMIT}")
     return n
 
@@ -339,9 +341,7 @@ def _family_rows(args, n_max: int) -> tuple[list[dict], dict]:
 
 
 def cmd_table(args) -> int:
-    # coefficient n holds λ^n where the Bernoulli base is a factor, else λ^(n−1) from e_λ
-    lift = 0 if _HYBRID_ORDERS.get(args.family, (0,))[0] else -1
-    rows, meta = _family_rows(args, check_common(args, None if args.family == _STIRLING1 else lift))
+    rows, meta = _family_rows(args, check_common(args, bounded=args.family != _STIRLING1))
     columns = ["n", "k", "value"] if args.family == _STIRLING1 else ["n", "value"]
     _emit(_render_rows(rows, columns, args.format, meta))
     return 0
@@ -353,15 +353,14 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     from . import identities
 
-    n = check_common(args, 0)  # every identity holds x^n at n
+    n = check_common(args)
     extra = [identities.broken_case()] if args.inject_fault else []
     try:
-        ids = identities.select_ids(args.patterns or None, extra)
+        reports = identities.verify_all(args.patterns or None, max_n=n, extra=extra)
     except identities.UnknownIdentity as exc:
         raise BadParams(str(exc)) from exc
-    if not ids:
+    if not reports:
         raise BadParams(f"no identity matches {' '.join(args.patterns)}")
-    reports = identities.verify_all(ids, max_n=n, extra=extra)
 
     fmt = args.format
     if fmt == "json":
@@ -407,7 +406,7 @@ MC_MAX_STREAMS = 4096
 
 def cmd_mc(args) -> int:
     _reject_unread(args, _MC_READS[args.identity], _MC_FLAGS, args.identity)
-    n = check_common(args, 0)  # the target holds y^n
+    n = check_common(args)
     if args.lam is None or args.x is None:
         raise BadParams("mc needs explicit --lambda and --x rationals")
     lam_v = _parse_rational(args.lam, "lambda")

@@ -1,8 +1,8 @@
 """Registry of polynomial identities with a uniform exact checker.
 
-Each case pairs two evaluation recipes that must produce the same
-polynomial for every index n up to the checked bound, with order
-parameters kept symbolic wherever the algebra permits (a verified
+Each case pairs two value lists, its sides at n = 0..order of the workspace,
+that must hold the same polynomial at every index n up to the checked bound,
+with order parameters kept symbolic wherever the algebra permits (a verified
 identity in Q[a] covers every real order).  Integer-only parameters
 (copy counts of i.i.d. sums) are enumerated over a small fixed set.
 
@@ -54,8 +54,7 @@ class Report(NamedTuple):
     mismatch: Mismatch | None = None
 
 
-SideFn = Callable[[int], Poly]
-Instance = tuple[str | None, SideFn, SideFn]
+Instance = tuple[str | None, list[Poly], list[Poly]]
 
 
 class IdentityCase(NamedTuple):
@@ -190,29 +189,13 @@ def registered_ids() -> list[str]:
     return list(_REGISTRY)
 
 
-def _with_extra(extra: Iterable[IdentityCase]) -> dict[str, IdentityCase]:
-    """The registry followed by ``extra`` cases, which join it for one call; ids must be fresh."""
-    cases = dict(_REGISTRY)
-    for case in extra:
-        if case.id in cases:
-            raise ValueError(f"duplicate identity id {case.id!r}")
-        cases[case.id] = case
-    return cases
-
-
 def broken_case(case_id: str = "fault-injection") -> IdentityCase:
     """A deliberately corrupted case: its right side is off by one at n = 2."""
 
     def build(ws: Workspace) -> list[Instance]:
         bern = ws.bernoulli(ZERO)
-
-        def lhs(n: int) -> Poly:
-            return bern[n]
-
-        def rhs(n: int) -> Poly:
-            return bern[n] + (ONE if n == 2 else ZERO)
-
-        return [(None, lhs, rhs)]
+        off_by_one = [value + ONE if n == 2 else value for n, value in enumerate(bern)]
+        return [(None, bern, off_by_one)]
 
     return IdentityCase(case_id, "deliberately corrupted self-test entry", build)
 
@@ -220,10 +203,15 @@ def broken_case(case_id: str = "fault-injection") -> IdentityCase:
 def select_ids(patterns: Iterable[str] | None, extra: Iterable[IdentityCase] = ()) -> list[str]:
     """Resolve glob patterns against the registry and ``extra``, preserving their order.
 
+    ``extra`` cases join the registry for this call; their ids must be fresh.
     An explicit id (no glob characters) that matches nothing raises
     ``UnknownIdentity``; an unmatched glob just selects nothing.
     """
-    cases = _with_extra(extra)
+    cases = dict(_REGISTRY)
+    for case in extra:
+        if case.id in cases:
+            raise ValueError(f"duplicate identity id {case.id!r}")
+        cases[case.id] = case
     if patterns is None:
         return list(cases)
     chosen: set[str] = set()
@@ -242,7 +230,8 @@ def verify(
 ) -> Report:
     """Check one identity, a registered id or a case, for n = 0..max_n; exact comparison.
 
-    ``workspace`` is reused when its value lists reach max_n.
+    ``workspace`` is reused when its value lists reach max_n.  Both sides are indexed
+    at every n ≤ max_n, so a side that stops short raises ``IndexError``.
     """
     case = case_id if isinstance(case_id, IdentityCase) else _REGISTRY.get(case_id)
     if case is None:
@@ -250,33 +239,25 @@ def verify(
     ws = workspace if workspace is not None and workspace.order >= max_n else Workspace(max_n)
     for label, lhs, rhs in case.build(ws):
         for n in range(max_n + 1):
-            left = lhs(n)
-            right = rhs(n)
-            if left != right:
-                return Report(case.id, max_n, False, Mismatch(n, left, right, label))
+            if lhs[n] != rhs[n]:
+                return Report(case.id, max_n, False, Mismatch(n, lhs[n], rhs[n], label))
     return Report(case.id, max_n, True)
 
 
 def verify_all(
     ids: Iterable[str] | None = None, max_n: int = 8, extra: Iterable[IdentityCase] = ()
 ) -> list[Report]:
-    """Check the given ids (default: the registry and ``extra``), sharing one workspace.
+    """Check the ids or globs that ``select_ids`` resolves (default: the registry and ``extra``).
 
-    Reports come back in registry order, ``extra`` last.  An id that is
-    neither registered nor in ``extra`` raises ``UnknownIdentity``.
+    The cases share one workspace.  Reports come back in registry order,
+    ``extra`` last.
     """
-    cases = _with_extra(extra)
-    if ids is None:
-        ids = list(cases)
-    else:
-        wanted = set(ids)
-        missing = wanted - cases.keys()
-        if missing:
-            raise UnknownIdentity(f"no identity registered under {min(missing)!r}")
-        ids = [i for i in cases if i in wanted]
+    extra = list(extra)
+    chosen = select_ids(ids, extra)
+    by_id = {case.id: case for case in extra}
     ws = Workspace(max_n)
     # a registered case goes by its id, which is what a traced ``verify`` keys its time by
-    return [verify(i if i in _REGISTRY else cases[i], max_n=max_n, workspace=ws) for i in ids]
+    return [verify(by_id.get(i, i), max_n=max_n, workspace=ws) for i in chosen]
 
 
 # -- the registry -----------------------------------------------------------------
@@ -286,11 +267,10 @@ _BER_HALF = Bernoulli(Fraction(1, 2))
 _BER_P = Bernoulli(P)
 
 
-def _convolution(left: list[Poly], right: list[Poly]) -> SideFn:
-    def side(n: int) -> Poly:
-        return Poly.dot((comb(n, k), left[k], right[n - k]) for k in range(n + 1))
-
-    return side
+def _convolution(left: list[Poly], right: list[Poly]) -> list[Poly]:
+    """Exponential coefficients of F*G from those of F and G, as far as ``left`` goes."""
+    return [Poly.dot((comb(n, k), left[k], right[n - k]) for k in range(n + 1))
+            for n in range(len(left))]
 
 
 def _stirling_weights(m: int, n_max: int) -> list[Poly]:
@@ -319,28 +299,28 @@ def _half_raised_bernoulli(ws: Workspace) -> list[Poly]:
 def _prop21_b(ws: Workspace) -> list[Instance]:
     total = ws.higher_bernoulli(A + B, X + Y)
     rhs = _convolution(ws.higher_bernoulli(A, X), ws.higher_bernoulli(B, Y))
-    return [(None, total.__getitem__, rhs)]
+    return [(None, total, rhs)]
 
 
 @_case("prop2.1-E", "order and argument both add across products of Euler-power series")
 def _prop21_e(ws: Workspace) -> list[Instance]:
     total = ws.higher_euler(A + B, X + Y)
     rhs = _convolution(ws.higher_euler(A, X), ws.higher_euler(B, Y))
-    return [(None, total.__getitem__, rhs)]
+    return [(None, total, rhs)]
 
 
 @_case("cor2.2-B", "argument addition formula for the Bernoulli-power family")
 def _cor22_b(ws: Workspace) -> list[Instance]:
     total = ws.higher_bernoulli(A, X + Y)
     rhs = _convolution(ws.higher_bernoulli(A, X), ws.falling(Y))
-    return [(None, total.__getitem__, rhs)]
+    return [(None, total, rhs)]
 
 
 @_case("cor2.2-E", "argument addition formula for the Euler-power family")
 def _cor22_e(ws: Workspace) -> list[Instance]:
     total = ws.higher_euler(A, X + Y)
     rhs = _convolution(ws.higher_euler(A, X), ws.falling(Y))
-    return [(None, total.__getitem__, rhs)]
+    return [(None, total, rhs)]
 
 
 @_case("thm2.3-B", "forward difference in x lowers the Bernoulli order by one")
@@ -348,11 +328,8 @@ def _thm23_b(ws: Workspace) -> list[Instance]:
     shifted = ws.higher_bernoulli(A, X + ONE)
     plain = ws.higher_bernoulli(A, X)
     raised = _times_t(ws.higher_bernoulli(A - ONE, X))
-
-    def lhs(n: int) -> Poly:
-        return shifted[n] - plain[n]
-
-    return [(None, lhs, raised.__getitem__)]
+    difference = [s - p for s, p in zip(shifted, plain)]
+    return [(None, difference, raised)]
 
 
 @_case("thm2.3-E", "shift mean in x lowers the Euler order by one")
@@ -360,14 +337,9 @@ def _thm23_e(ws: Workspace) -> list[Instance]:
     shifted = ws.higher_euler(A, X + ONE)
     plain = ws.higher_euler(A, X)
     lowered = ws.higher_euler(A - ONE, X)
-
-    def lhs(n: int) -> Poly:
-        return shifted[n] + plain[n]
-
-    def rhs(n: int) -> Poly:
-        return lowered[n] * 2
-
-    return [(None, lhs, rhs)]
+    total = [s + p for s, p in zip(shifted, plain)]
+    doubled = [v * 2 for v in lowered]
+    return [(None, total, doubled)]
 
 
 @_case("thm2.4", "Bernoulli polynomials as an Euler convolution plus a half-index term")
@@ -376,25 +348,22 @@ def _thm24(ws: Workspace) -> list[Instance]:
     euler = ws.euler(X)
     raised = _times_t(euler)
     conv = _convolution(ws.bernoulli(ZERO), euler)
-
-    def rhs(n: int) -> Poly:
-        return raised[n] / 2 + conv(n)
-
-    return [(None, bern.__getitem__, rhs)]
+    rhs = [r / 2 + c for r, c in zip(raised, conv)]
+    return [(None, bern, rhs)]
 
 
 @_case("prop-T-add", "argument split of the hybrid family into its two power factors")
 def _prop_t_add(ws: Workspace) -> list[Instance]:
     total = ws.hybrid(A, B, X + Y)
     rhs = _convolution(ws.higher_bernoulli(A, X), ws.higher_euler(B, Y))
-    return [(None, total.__getitem__, rhs)]
+    return [(None, total, rhs)]
 
 
 @_case("prop-T-expand", "hybrid polynomials from their values at zero")
 def _prop_t_expand(ws: Workspace) -> list[Instance]:
     at_x = ws.hybrid(A, B, X)
     rhs = _convolution(ws.hybrid(A, B, ZERO), ws.falling(X))
-    return [(None, at_x.__getitem__, rhs)]
+    return [(None, at_x, rhs)]
 
 
 @_case("thm-T-two-expansions", "hybrid family expanded through either base family")
@@ -403,8 +372,8 @@ def _thm_t_two(ws: Workspace) -> list[Instance]:
     via_bern = _convolution(ws.hybrid(A - ONE, B, ZERO), ws.bernoulli(X))
     via_euler = _convolution(ws.hybrid(A, B - ONE, ZERO), ws.euler(X))
     return [
-        ("through-bernoulli", at_x.__getitem__, via_bern),
-        ("through-euler", at_x.__getitem__, via_euler),
+        ("through-bernoulli", at_x, via_bern),
+        ("through-euler", at_x, via_euler),
     ]
 
 
@@ -414,7 +383,7 @@ def _thm27(ws: Workspace) -> list[Instance]:
         v.substitute({"λ": LAM / 2, "x": X / 2}) * 2 ** n for n, v in enumerate(ws.bernoulli(X))
     ]
     rhs = _convolution(ws.bernoulli(ZERO), ws.euler(X))
-    return [(None, doubled.__getitem__, rhs)]
+    return [(None, doubled, rhs)]
 
 
 @_case("thm2.8", "forward difference in x lowers the first hybrid order")
@@ -422,11 +391,8 @@ def _thm28(ws: Workspace) -> list[Instance]:
     shifted = ws.hybrid(A, B, X + ONE)
     plain = ws.hybrid(A, B, X)
     raised = _times_t(ws.hybrid(A - ONE, B, X))
-
-    def lhs(n: int) -> Poly:
-        return shifted[n] - plain[n]
-
-    return [(None, lhs, raised.__getitem__)]
+    difference = [s - p for s, p in zip(shifted, plain)]
+    return [(None, difference, raised)]
 
 
 @_case("thm3.1", "averaging the induced family over its own variable recovers the falling factorials")
@@ -434,12 +400,8 @@ def _thm31(ws: Workspace) -> list[Instance]:
     falling = ws.falling(X)
     instances: list[Instance] = []
     for provider in (_UNIFORM, _BER_HALF, _BER_P):
-        shifted = ws.sheffer(provider, X + Y)
-
-        def lhs(n: int, shifted=shifted, provider=provider) -> Poly:
-            return ws.expect(shifted[n], provider)
-
-        instances.append((provider.label(), lhs, falling.__getitem__))
+        averaged = [ws.expect(v, provider) for v in ws.sheffer(provider, X + Y)]
+        instances.append((provider.label(), averaged, falling))
     return instances
 
 
@@ -451,7 +413,7 @@ def _thm32(ws: Workspace) -> list[Instance]:
         joint = CustomMoments((ws.mgf(first) * ws.mgf(second)).egf_coefficients(ws.order))
         total = ws.sheffer(joint, X + Y)
         rhs = _convolution(ws.sheffer(first, X), ws.sheffer(second, Y))
-        instances.append((f"{first.label()}+{second.label()}", total.__getitem__, rhs))
+        instances.append((f"{first.label()}+{second.label()}", total, rhs))
     return instances
 
 
@@ -460,14 +422,14 @@ def _thm33(ws: Workspace) -> list[Instance]:
     mine = ws.sheffer(_UNIFORM, X)
     weights = [(-LAM) ** j * Fraction(factorial(j), j + 1) for j in range(ws.order + 1)]
     rhs = _convolution(ws.bernoulli(X), weights)
-    return [(None, mine.__getitem__, rhs)]
+    return [(None, mine, rhs)]
 
 
 @_case("thm3.4", "the fair-coin family coincides with the Euler polynomials")
 def _thm34(ws: Workspace) -> list[Instance]:
     mine = ws.sheffer(_BER_HALF, X)
     euler = ws.euler(X)
-    return [(None, mine.__getitem__, euler.__getitem__)]
+    return [(None, mine, euler)]
 
 
 @_case("thm3.5", "uniform i.i.d.-sum family through first-kind Stirling weights")
@@ -476,7 +438,7 @@ def _thm35(ws: Workspace) -> list[Instance]:
     for m in (1, 2, 3):
         mine = ws.sheffer(IidSum(_UNIFORM, m), X)
         rhs = _convolution(ws.higher_bernoulli(m, X), _stirling_weights(m, ws.order))
-        instances.append((f"m={m}", mine.__getitem__, rhs))
+        instances.append((f"m={m}", mine, rhs))
     return instances
 
 
@@ -498,12 +460,9 @@ def _thm37(ws: Workspace) -> list[Instance]:
     for m, l in ((2, 1), (3, 1), (3, 2)):
         shifted = ws.sheffer(IidSum(_BER_HALF, m), X + Y)
         inner = IidSum(_BER_HALF, l)
+        averaged = [ws.expect(v, inner) for v in shifted]
         remaining = ws.higher_euler(m - l, X)
-
-        def lhs(n: int, shifted=shifted, inner=inner) -> Poly:
-            return ws.expect(shifted[n], inner)
-
-        instances.append((f"m={m},l={l}", lhs, remaining.__getitem__))
+        instances.append((f"m={m},l={l}", averaged, remaining))
     return instances
 
 
@@ -512,11 +471,8 @@ def _thm38(ws: Workspace) -> list[Instance]:
     lowered = ws.hybrid(A, B - ONE, X)
     shifted = ws.hybrid(A, B, X + ONE)
     plain = ws.hybrid(A, B, X)
-
-    def rhs(n: int) -> Poly:
-        return (shifted[n] + plain[n]) / 2
-
-    return [(None, lowered.__getitem__, rhs)]
+    mean = [(s + p) / 2 for s, p in zip(shifted, plain)]
+    return [(None, lowered, mean)]
 
 
 @_case("thm3.9", "hybrid value from the order-lowered value minus a half-index correction")
@@ -524,11 +480,8 @@ def _thm39(ws: Workspace) -> list[Instance]:
     plain = ws.hybrid(A, B, X)
     lowered_b = ws.hybrid(A, B - ONE, X)
     raised_a = _times_t(ws.hybrid(A - ONE, B, X))
-
-    def rhs(n: int) -> Poly:
-        return lowered_b[n] - raised_a[n] / 2
-
-    return [(None, plain.__getitem__, rhs)]
+    rhs = [low - step / 2 for low, step in zip(lowered_b, raised_a)]
+    return [(None, plain, rhs)]
 
 
 @_case("thm3.10", "swapping an Euler order for a correction on the Bernoulli side")
@@ -542,7 +495,7 @@ def _thm310(ws: Workspace) -> list[Instance]:
 def _thm311_b(ws: Workspace) -> list[Instance]:
     total = ws.higher_bernoulli(A, X + Y)
     rhs = _convolution(_half_raised_bernoulli(ws), ws.euler(Y))
-    return [(None, total.__getitem__, rhs)]
+    return [(None, total, rhs)]
 
 
 @_case("thm3.11-E", "Euler-power addition formula through Bernoulli polynomials")
@@ -555,7 +508,7 @@ def _thm311_e(ws: Workspace) -> list[Instance]:
     steps = [(he_low.egf_coefficient(k + 1) - he.egf_coefficient(k + 1)) * Fraction(2, k + 1)
              for k in range(ws.order + 1)]
     rhs = _convolution(steps, ws.bernoulli(X))
-    return [(None, total.__getitem__, rhs)]
+    return [(None, total, rhs)]
 
 
 @_case("eq50-volkenborn", "uniform-variable family equals the log-over-difference generating series")
@@ -563,4 +516,4 @@ def _eq50(ws: Workspace) -> list[Instance]:
     mine = ws.sheffer(_UNIFORM, X)
     log_one_plus_t = Series([ONE, ONE]).log()
     closed = log_one_plus_t.div_t().scale_t(LAM) * families.bernoulli_base() * ws.exp_of(X)
-    return [(None, mine.__getitem__, closed.egf_coefficient)]
+    return [(None, mine, closed.egf_coefficients(ws.order))]

@@ -15,7 +15,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from degenpoly import DEGREE_LIMIT, Poly, bernoulli_polynomials, euler_polynomials, sheffer_type, X
+from degenpoly import (
+    DEGREE_LIMIT, Poly, bernoulli_polynomials, euler_polynomials, families, registered_ids,
+    sheffer_type, X,
+)
 from degenpoly.cli import (
     FORMATS, MAX_IID_NESTING, MAX_LITERAL_DIGITS, MC_MAX_STREAMS, main, parse_provider, poly_latex,
     BadParams, _FAMILY_NAMES,
@@ -582,40 +585,53 @@ def test_a_count_below_its_least_value_is_a_usage_error(flag, literal, capsys):
     assert err.startswith("error: ") and " must be at least " in err
 
 
-# the first --n each command refuses: coefficient n holds a power that reaches DEGREE_LIMIT
-# there whatever the other flags are: λ^n where the Bernoulli base is a factor and λ^(n−1)
-# from e_λ otherwise; every identity of `verify` holds x^n, and the `mc` target y^n
-_BERNOULLI_FAMILIES = ("deg-bernoulli", "higher-bernoulli", "sheffer-t")
+# the first --n every command but `table stirling1` refuses: at n a product reaches exponent
+# n + 1 at most (thm3.11-E reads index n + 1), so from here on one could reach DEGREE_LIMIT
+_FIRST_REFUSED_N = DEGREE_LIMIT - 1
 _TABLE_ARGV = {family: ("table", family) for family in _FAMILY_NAMES if family != "stirling1"}
 _TABLE_ARGV["sheffer-y"] += ("--provider", "uniform01")
-_FIRST_REFUSED_N = {
-    **{argv: DEGREE_LIMIT + (argv[1] not in _BERNOULLI_FAMILIES) for argv in _TABLE_ARGV.values()},
-    ("verify",): DEGREE_LIMIT,
-    ("mc", "thm3.1", "--lambda", "1/8", "--x", "1/4"): DEGREE_LIMIT,
-    ("mc", "thm3.7", "--lambda", "1/8", "--x", "1/4"): DEGREE_LIMIT,
-}
+_MC_ARGV = [("mc", thm, "--lambda", "1/8", "--x", "1/4") for thm in ("thm3.1", "thm3.7")]
+_BOUNDED_ARGV = [*_TABLE_ARGV.values(), ("verify",), ("verify", "thm3.11-E"), *_MC_ARGV]
 
 
-@pytest.mark.parametrize("argv, first", _FIRST_REFUSED_N.items(),
-                         ids=[" ".join(argv[:2]) for argv in _FIRST_REFUSED_N])
-def test_an_n_at_the_degree_limit_is_refused_at_once(argv, first, capsys):
-    for n in (first, first + 5, 10 ** 30):
+@pytest.mark.parametrize("argv", _BOUNDED_ARGV, ids=[" ".join(argv[:2]) for argv in _BOUNDED_ARGV])
+def test_an_n_at_the_degree_limit_is_refused_at_once(argv, capsys):
+    for n in (_FIRST_REFUSED_N, _FIRST_REFUSED_N + 5, 10 ** 30):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv, "--n", str(n))
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: --n must be below {first},")
+        assert err.startswith(f"error: --n must be below {_FIRST_REFUSED_N},")
 
 
-@pytest.mark.parametrize("family", _TABLE_ARGV)
-def test_the_refused_n_is_where_a_table_reaches_the_degree_limit(family, capsys):
-    # the value at n holds λ^(n + DEGREE_LIMIT − first): at n = first, λ^DEGREE_LIMIT, which the
-    # kernel refuses
-    first = _FIRST_REFUSED_N[_TABLE_ARGV[family]]
-    code, out, _ = run(capsys, *_TABLE_ARGV[family], "--n", "5", "--x", "x", "--format", "json")
-    assert code == 0
-    top = Poly.parse(json.loads(out)["rows"][5]["value"]).degree("λ")
-    assert first + top - 5 == DEGREE_LIMIT
+# each bounded command at n = 5, and the highest exponent its products reach there
+_AT_FIVE = {
+    **{family: (argv + ("--x", "x"), 5) for family, argv in _TABLE_ARGV.items()},
+    **{" ".join(argv[:2]): (argv + ("--samples", "1000"), 5) for argv in _MC_ARGV},
+    "verify": (("verify",), 6),
+    "verify but thm3.11-E": (("verify", *(i for i in registered_ids() if i != "thm3.11-E")), 5),
+}
+
+
+@pytest.mark.parametrize("command", _AT_FIVE)
+def test_the_refused_n_is_where_a_table_reaches_the_degree_limit(command, monkeypatch, capsys):
+    # the bound is safe: at n = 5 no product of any command passes exponent n + 1 = 6; and it is
+    # tight: the registry reaches 6, through thm3.11-E alone
+    for name in ("bernoulli_base", "euler_base", "stirling_first"):  # a cached value is no product
+        getattr(families, name).cache_clear()
+    argv, expected = _AT_FIVE[command]
+    top = []
+    dot = Poly.dot.__func__
+
+    def spy(cls, triples):
+        product = dot(cls, triples)
+        top.append(max((max(exps) for exps in product.terms), default=0))
+        return product
+
+    monkeypatch.setattr(Poly, "dot", classmethod(spy))
+    code, _, err = run(capsys, *argv, "--n", "5")
+    assert (code, err) == (0, "")
+    assert max(top) == expected
 
 
 def test_stirling1_has_no_degree_bound(monkeypatch, capsys):
@@ -628,6 +644,20 @@ def test_stirling1_has_no_degree_bound(monkeypatch, capsys):
     monkeypatch.setattr("degenpoly.cli._family_rows", no_rows)
     code, _, err = run(capsys, "table", "stirling1", "--n", str(10 * DEGREE_LIMIT))
     assert (code, err, seen) == (0, "", [10 * DEGREE_LIMIT])
+
+
+def test_verify_reads_the_last_n_below_the_bound(monkeypatch, capsys):
+    from degenpoly.identities import Report
+
+    seen = []
+
+    def no_reports(ids, max_n, extra):  # the reports themselves would take hours
+        seen.append(max_n)
+        return [Report("stub", max_n, True)]
+
+    monkeypatch.setattr("degenpoly.identities.verify_all", no_reports)
+    code, _, err = run(capsys, "verify", "--n", str(_FIRST_REFUSED_N - 1))
+    assert (code, err, seen) == (0, "", [_FIRST_REFUSED_N - 1])
 
 
 # -- the exit-code contract over generated argv -------------------------------------

@@ -85,8 +85,8 @@ def test_symbolic_parameters_stay_symbolic():
     ws = identities.Workspace(4)
     case = identities._REGISTRY["thm2.3-B"]
     label, lhs, rhs = case.build(ws)[0]
-    assert "a" in lhs(2).variables()
-    assert "a" in rhs(2).variables()
+    assert "a" in lhs[2].variables()
+    assert "a" in rhs[2].variables()
 
 
 def test_unknown_identity():
@@ -126,6 +126,20 @@ def test_corrupted_entry_is_caught():
     assert report.mismatch.diff == Poly.const(-1)
     assert report.mismatch.lhs != report.mismatch.rhs
     assert "test-corrupt" not in registered_ids()
+
+
+@pytest.mark.parametrize("short", ["lhs", "rhs"])
+def test_a_side_that_stops_short_raises(short):
+    # verify indexes both sides at every n, so a side that stops short cannot pass unchecked
+    def build(ws):
+        bern = ws.bernoulli(ZERO)
+        sides = {"lhs": bern, "rhs": bern, short: bern[:2]}
+        return [(None, sides["lhs"], sides["rhs"])]
+
+    case = identities.IdentityCase("short-side", "a side that stops at n = 1", build)
+    assert verify(case, max_n=1).equal
+    with pytest.raises(IndexError):
+        verify(case, max_n=4)
 
 
 def test_register_rejects_duplicates():
@@ -296,9 +310,9 @@ def test_every_side_reproduces_its_recorded_values():
         for label, lhs, rhs in identities._REGISTRY[case_id].build(ws):
             found[case_id if label is None else f"{case_id} [{label}]"] = {
                 side: hashlib.sha256(
-                    "\n".join(str(fn(n)) for n in range(max_n + 1)).encode()
+                    "\n".join(str(values[n]) for n in range(max_n + 1)).encode()
                 ).hexdigest()
-                for side, fn in (("lhs", lhs), ("rhs", rhs))
+                for side, values in (("lhs", lhs), ("rhs", rhs))
             }
     assert found == _DIGESTS["instances"]
 
