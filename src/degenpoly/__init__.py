@@ -10,11 +10,9 @@ from .families import (
     IndexOutOfRange,
     bernoulli_deg,
     bernoulli_polynomials,
-    bernoulli_series,
     degenerate_exp,
     euler_deg,
     euler_polynomials,
-    euler_series,
     falling_basis_coefficients,
     falling_factorial,
     higher_bernoulli,

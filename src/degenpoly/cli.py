@@ -22,7 +22,9 @@ holds, so the interpreter's final collection at exit does not walk them;
 output flushing, ``atexit`` handlers and module teardown still run.  ``main``
 freezes nothing, so tests and library callers may call it in process.  Only
 ``verify`` imports ``identities``, the registry; ``table`` and ``mc`` never
-load it.
+load it.  ``table`` reads each hybrid family from a fresh ``families.Workspace``,
+the recipe whose values ``verify`` proves; ``table sheffer-y`` and the ``mc``
+target read ``randvar.ShefferSequence``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .poly import DEGREE_LIMIT, DegreeLimitExceeded, Poly, VAR_NAMES, ZERO, X
-from .series import OrderExceeded, Series
+from .series import OrderExceeded
 from . import families
 from .randvar import (
     Bernoulli,
@@ -286,8 +288,8 @@ def _has_symbolic_p(provider: MomentProvider) -> bool:
     return isinstance(provider, Bernoulli) and "p" in provider.p.variables()
 
 
-def _family_series(args, at: Poly, meta_params: dict[str, str]) -> Series:
-    """The generating series of a series-built family."""
+def _family_values(args, n_max: int, at: Poly, meta_params: dict[str, str]) -> list[Poly]:
+    """The values n = 0..n_max of a series-built family, from a fresh Workspace or provider."""
     if args.family == _SHEFFER_Y:
         if args.provider is None:
             raise BadParams("family sheffer-y needs --provider")
@@ -295,10 +297,10 @@ def _family_series(args, at: Poly, meta_params: dict[str, str]) -> Series:
         if args.p is not None and not _has_symbolic_p(provider):
             raise BadParams(f"sheffer-y with provider {args.provider} takes no --p")
         meta_params["provider"] = args.provider
-        return ShefferSequence(provider).series(at)
+        return ShefferSequence(provider).polynomials(n_max, at)
     a, b = [_order_param(getattr(args, e), e, meta_params) if isinstance(e, str) else e
             for e in _HYBRID_ORDERS[args.family]]
-    return families.sheffer_type_series(a, b, at)
+    return families.Workspace(n_max).hybrid(a, b, at)
 
 
 def _family_rows(args, n_max: int) -> tuple[list[dict], dict]:
@@ -321,9 +323,8 @@ def _family_rows(args, n_max: int) -> tuple[list[dict], dict]:
 
     # only json and latex print the LaTeX column
     with_latex = args.format in ("json", "latex")
-    series = None if family == _STIRLING1 else _family_series(args, at, meta_params)
     rows: list[dict] = []
-    if series is None:
+    if family == _STIRLING1:
         for n in range(n_max + 1):
             for k in range(n + 1):
                 value = families.stirling_first(n, k)
@@ -331,7 +332,7 @@ def _family_rows(args, n_max: int) -> tuple[list[dict], dict]:
                 if with_latex:
                     rows[-1]["latex"] = _latex_fraction(value)
     else:
-        for n, value in enumerate(series.egf_coefficients(n_max)):
+        for n, value in enumerate(_family_values(args, n_max, at, meta_params)):
             value = value.substitute(pins) if pins else value
             rows.append({"n": n, "value": str(value)})
             if with_latex:
@@ -426,23 +427,21 @@ def cmd_mc(args) -> int:
     }
     if args.identity == "thm3.1":
         provider = parse_provider(args.provider if args.provider is not None else "uniform01")
-        target = ShefferSequence(provider).polynomial(n, X + Poly.var("y"))
-        exact = families.falling_factorial(X, n).evaluate(point)
+        outer = provider
         meta["provider"] = provider.label()
     else:  # thm3.7
         l = _parse_count("1" if args.l is None else args.l, "--l", 1)
         m = _parse_count("2" if args.m is None else args.m, "--m", l)
         outer = IidSum(Bernoulli(Fraction(1, 2)), m)
         provider = IidSum(Bernoulli(Fraction(1, 2)), l)
-        target = ShefferSequence(outer).polynomial(n, X + Poly.var("y"))
-        exact = families.higher_euler(n, m - l, X).evaluate(point)
-        meta["provider"] = provider.label()
-        meta["m"] = m
-        meta["l"] = l
-
+        meta.update(provider=provider.label(), m=m, l=l)
+    # refused before the target is built, which alone ran past 20 s at --n 150
     if provider.columns > MC_MAX_STREAMS:
         raise BadParams(f"mc samples at most {MC_MAX_STREAMS} uniform streams; "
                         f"{provider.label()} needs {provider.columns}")
+    target = ShefferSequence(outer).polynomial(n, X + Poly.var("y"))
+    exact = (families.falling_factorial(X, n) if args.identity == "thm3.1"
+             else families.higher_euler(n, m - l, X)).evaluate(point)
     try:
         result = mc_estimate(target, provider, point, samples, seed)
         exact_float = float(exact)

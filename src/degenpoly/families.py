@@ -1,18 +1,20 @@
-"""Constructors for the polynomial families.
+"""Constructors for the polynomial families, and the ``Workspace`` that builds them.
 
-One series builder, ``sheffer_type_series``, makes every family that a
-generating series defines: the degenerate Sheffer-type polynomials
-T^{(a,b)}_{n,λ}(x), whose series is the Bernoulli base to the a, times the
-Euler base to the b, times the degenerate exponential.  The other families
-are its special cases: B^{(a)} = T^{(a,0)}, E^{(b)} = T^{(0,b)},
-B = T^{(1,0)}, E = T^{(0,1)}, and the falling factorials are T^{(0,0)}.
-Each family's values are the exponential coefficients of its series.
+One recipe, ``Workspace.hybrid``, makes every family that a generating
+series defines: the degenerate Sheffer-type polynomials T^{(a,b)}_{n,λ}(x),
+whose series is the Bernoulli base to the a, times the Euler base to the b,
+times the degenerate exponential.  The other families are its special
+cases: B^{(a)} = T^{(a,0)}, E^{(b)} = T^{(0,b)}, B = T^{(1,0)}, E = T^{(0,1)},
+and the falling factorials are T^{(0,0)}.  Each family's values are the
+exponential coefficients of its series.  The library calls
+(``bernoulli_deg``, ``sheffer_type``, ...) and the CLI's ``table`` each read a
+fresh Workspace, and the identity checker shares one over a run, so the
+values printed are the values proved.
 
 Only the two base series (``bernoulli_base``, ``euler_base``) and
-``stirling_first`` are cached, behind ``functools.lru_cache`` for the life
-of the process; a base is one lazy series that every caller extends as far
-as it reads.  Everything else is rebuilt on each call, and the identity
-checker's ``Workspace`` holds what its cases share.
+``stirling_first`` are cached for the life of the process, behind
+``functools.lru_cache``; a base is one lazy series that every caller extends
+as far as it reads.  A Workspace holds everything else for its own life.
 """
 
 from __future__ import annotations
@@ -20,9 +22,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
+from typing import TYPE_CHECKING
 
 from .poly import Poly, PolyLike, ZERO, ONE, LAM, Y, as_poly
-from .series import Series
+from .series import OrderExceeded, Series
+
+if TYPE_CHECKING:  # randvar imports this module
+    from .randvar import MomentProvider
 
 
 class IndexOutOfRange(Exception):
@@ -65,39 +71,134 @@ def euler_base() -> Series:
     return ((degenerate_exp(ONE) + Series([ONE])) * Fraction(1, 2)).reciprocal()
 
 
-def sheffer_type_series(a_param: PolyLike, b_param: PolyLike, at: PolyLike) -> Series:
-    """(B^a · E^b) · e_λ^at: the one series builder; a base whose order is 0 is left out."""
-    powers = [
-        base().pow(e)
-        for base, e in ((bernoulli_base, a_param), (euler_base, b_param))
-        if as_poly(e)
-    ]
-    return reduce(mul, powers + [degenerate_exp(at)])
+class Workspace:
+    """Cache of what the family recipes share; its value lists run through index ``order``.
+
+    It owns the series, the B^e1 · E^e2 factors, one moment series per
+    provider, and the Stirling table that turns the moments read off it into
+    ordinary moments E[Y^j].  The series are lazy, so a recipe that reads
+    past ``order`` extends them.
+    """
+
+    def __init__(self, order: int):
+        if order < 0:
+            raise ValueError("workspace order must be non-negative")
+        self.order = order
+        self._cache: dict = {}
+
+    def _get(self, key, make):
+        value = self._cache.get(key)
+        if value is None:
+            value = make()
+            self._cache[key] = value
+        return value
+
+    def exp_of(self, base: Poly) -> Series:
+        return self._get(("exp", base), lambda: degenerate_exp(base))
+
+    def power(self, base: Series, e: Poly) -> Series:
+        """A base series raised to a (possibly symbolic) order, formed once."""
+        return self._get(("pow", base, e), lambda: base.pow(e))
+
+    def hybrid(self, e1, e2, at: Poly) -> list[Poly]:
+        """T^{(e1,e2)} at ``at``, from (B^e1 · E^e2) · e_λ^at; a base of order 0 is left out.
+
+        This is the one family recipe: the five below are calls to it.  The
+        factor B^e1 · E^e2 is formed once per order pair.
+        """
+        e1, e2 = as_poly(e1), as_poly(e2)
+
+        def factor():
+            powers = [
+                self.power(base(), e)
+                for base, e in ((bernoulli_base, e1), (euler_base, e2))
+                if e
+            ]
+            return reduce(mul, powers)
+
+        def make():
+            series = self.exp_of(at)
+            if e1 or e2:
+                series = self._get(("factor", e1, e2), factor) * series
+            return series.egf_coefficients(self.order)
+
+        return self._get(("hybrid", e1, e2, at), make)
+
+    def falling(self, base: Poly) -> list[Poly]:
+        return self.hybrid(ZERO, ZERO, base)
+
+    def higher_bernoulli(self, e, at: Poly) -> list[Poly]:
+        return self.hybrid(e, ZERO, at)
+
+    def higher_euler(self, e, at: Poly) -> list[Poly]:
+        return self.hybrid(ZERO, e, at)
+
+    def bernoulli(self, at: Poly) -> list[Poly]:
+        return self.hybrid(ONE, ZERO, at)
+
+    def euler(self, at: Poly) -> list[Poly]:
+        return self.hybrid(ZERO, ONE, at)
+
+    def mgf(self, provider: MomentProvider) -> Series:
+        """The provider's moment series, built once; an i.i.d. sum raises its base's series."""
+        from .randvar import IidSum  # randvar imports this module
+
+        def make():
+            if isinstance(provider, IidSum):
+                return self.mgf(provider.base).pow_int(provider.m)
+            return provider.mgf()
+
+        return self._get(("mgf", provider), make)
+
+    def stirling_rows(self) -> list[list[Poly]]:
+        """Row j is y^j in the λ-falling basis: degenerate Stirling numbers of the second kind."""
+        return self._get(("stirling2",), lambda: [
+            falling_basis_coefficients(Y ** j) for j in range(self.order + 1)
+        ])
+
+    def expect(self, p: Poly, provider: MomentProvider) -> Poly:
+        """E[p(Y)] for a y-degree at most ``order``: the dot of [y^j]p with E[Y^j]."""
+        degree = p.degree("y")
+        if degree > self.order:
+            raise ValueError(f"y-degree {degree} is past the workspace order {self.order}; "
+                             "expect_polynomial takes any degree")
+
+        def ordinary():
+            degenerate = self.mgf(provider).egf_coefficients(self.order)
+            return [Poly.dot((1, c, degenerate[k]) for k, c in enumerate(row) if c)
+                    for row in self.stirling_rows()]
+
+        moments = self._get(("ordinary-moments", provider), ordinary)
+        return Poly.dot((1, p.coefficient_of("y", j), moments[j]) for j in range(degree + 1))
+
+    def sheffer(self, provider: MomentProvider, at: Poly) -> list[Poly]:
+        """The provider's Sheffer family at ``at``: e_λ^at(t) over the moment series."""
+
+        def make():
+            inverse = self._get(("inverse-mgf", provider), lambda: self.mgf(provider).reciprocal())
+            return (inverse * self.exp_of(at)).egf_coefficients(self.order)
+
+        return self._get(("sheffer", provider, at), make)
 
 
-def bernoulli_series(at: PolyLike) -> Series:
-    return sheffer_type_series(1, 0, at)
-
-
-def euler_series(at: PolyLike) -> Series:
-    return sheffer_type_series(0, 1, at)
+# -- the library calls: each reads a fresh Workspace ------------------------------
 
 
 def bernoulli_polynomials(n_max: int, at: PolyLike = ZERO) -> list[Poly]:
-    """Degenerate Bernoulli values for n = 0..n_max, from the generating series."""
-    return bernoulli_series(at).egf_coefficients(n_max)
+    """Degenerate Bernoulli values for n = 0..n_max (none when n_max < 0)."""
+    return Workspace(n_max).bernoulli(at) if n_max >= 0 else []
 
 
 def euler_polynomials(n_max: int, at: PolyLike = ZERO) -> list[Poly]:
-    return euler_series(at).egf_coefficients(n_max)
+    return Workspace(n_max).euler(at) if n_max >= 0 else []
 
 
 def bernoulli_deg(n: int, at: PolyLike = ZERO) -> Poly:
-    return bernoulli_series(at).egf_coefficient(n)
+    return sheffer_type(n, 1, 0, at)
 
 
 def euler_deg(n: int, at: PolyLike = ZERO) -> Poly:
-    return euler_series(at).egf_coefficient(n)
+    return sheffer_type(n, 0, 1, at)
 
 
 def higher_bernoulli(n: int, order_param: PolyLike, at: PolyLike = ZERO) -> Poly:
@@ -109,7 +210,10 @@ def higher_euler(n: int, order_param: PolyLike, at: PolyLike = ZERO) -> Poly:
 
 
 def sheffer_type(n: int, a_param: PolyLike, b_param: PolyLike, at: PolyLike = ZERO) -> Poly:
-    return sheffer_type_series(a_param, b_param, at).egf_coefficient(n)
+    """T^{(a,b)}_{n,λ}(at); a negative n is no coefficient of the series."""
+    if n < 0:
+        raise OrderExceeded(f"a series has no coefficient {n}")
+    return Workspace(n).hybrid(a_param, b_param, at)[n]
 
 
 # the last row of the triangle built: (m, [S1(m, 0), ..., S1(m, m)]) as ints; the pair is

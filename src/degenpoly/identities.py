@@ -6,30 +6,34 @@ with order parameters kept symbolic wherever the algebra permits (a verified
 identity in Q[a] covers every real order).  Integer-only parameters
 (copy counts of i.i.d. sums) are enumerated over a small fixed set.
 
-A ``Workspace`` memoizes the generating series and the moment series the
-cases share, so a full-registry run costs each of them once.
+The cases read their families from one ``families.Workspace`` per run, the
+recipe that ``table`` and the library calls read too; it memoizes the
+generating series and the moment series the cases share, so a full-registry
+run costs each of them once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from fnmatch import fnmatch
-from functools import reduce
 from math import comb, factorial
-from operator import mul
 from typing import Callable, Iterable, NamedTuple
 
-from .poly import Poly, ZERO, ONE, LAM, X, Y, A, B, P, as_poly
+from .poly import Poly, ZERO, ONE, LAM, X, Y, A, B, P
 from .series import Series
 from . import families
+from .families import Workspace
 from .randvar import (
     Bernoulli,
     CustomMoments,
     IidSum,
-    MomentProvider,
     Uniform01,
     expect_polynomial,
 )
+
+# the registry averages through ``Workspace.expect``; the import stays because the benchmark's
+# self-test (bench/test_bench.py) asserts that it binds ``randvar.expect_polynomial`` here
+_ORACLE = expect_polynomial
 
 
 class UnknownIdentity(Exception):
@@ -60,116 +64,7 @@ Instance = tuple[str | None, list[Poly], list[Poly]]
 class IdentityCase(NamedTuple):
     id: str
     description: str
-    build: Callable[["Workspace"], list[Instance]]
-
-
-class Workspace:
-    """Cache of what the identity recipes share; its value lists run through index ``order``.
-
-    It owns the series, the B^e1 · E^e2 factors, one moment series per
-    provider, and the Stirling table that turns the moments read off it into
-    ordinary moments E[Y^j].  The series are lazy, so a recipe that reads
-    past ``order`` extends them.
-    """
-
-    def __init__(self, order: int):
-        if order < 0:
-            raise ValueError("workspace order must be non-negative")
-        self.order = order
-        self._cache: dict = {}
-
-    def _get(self, key, make):
-        value = self._cache.get(key)
-        if value is None:
-            value = make()
-            self._cache[key] = value
-        return value
-
-    def exp_of(self, base: Poly) -> Series:
-        return self._get(("exp", base), lambda: families.degenerate_exp(base))
-
-    def power(self, base: Series, e: Poly) -> Series:
-        """A base series raised to a (possibly symbolic) order, formed once."""
-        return self._get(("pow", base, e), lambda: base.pow(e))
-
-    def hybrid(self, e1, e2, at: Poly) -> list[Poly]:
-        """T^{(e1,e2)} at ``at``, from (B^e1 · E^e2) · e_λ^at; a base of order 0 is left out.
-
-        This is the one family recipe: the five below are calls to it.  The
-        factor B^e1 · E^e2 is formed once per order pair.
-        """
-        e1, e2 = as_poly(e1), as_poly(e2)
-
-        def factor():
-            powers = [
-                self.power(base(), e)
-                for base, e in ((families.bernoulli_base, e1), (families.euler_base, e2))
-                if e
-            ]
-            return reduce(mul, powers)
-
-        def make():
-            series = self.exp_of(at)
-            if e1 or e2:
-                series = self._get(("factor", e1, e2), factor) * series
-            return series.egf_coefficients(self.order)
-
-        return self._get(("hybrid", e1, e2, at), make)
-
-    def falling(self, base: Poly) -> list[Poly]:
-        return self.hybrid(ZERO, ZERO, base)
-
-    def higher_bernoulli(self, e, at: Poly) -> list[Poly]:
-        return self.hybrid(e, ZERO, at)
-
-    def higher_euler(self, e, at: Poly) -> list[Poly]:
-        return self.hybrid(ZERO, e, at)
-
-    def bernoulli(self, at: Poly) -> list[Poly]:
-        return self.hybrid(ONE, ZERO, at)
-
-    def euler(self, at: Poly) -> list[Poly]:
-        return self.hybrid(ZERO, ONE, at)
-
-    def mgf(self, provider: MomentProvider) -> Series:
-        """The provider's moment series, built once; an i.i.d. sum raises its base's series."""
-
-        def make():
-            if isinstance(provider, IidSum):
-                return self.mgf(provider.base).pow_int(provider.m)
-            return provider.mgf()
-
-        return self._get(("mgf", provider), make)
-
-    def stirling_rows(self) -> list[list[Poly]]:
-        """Row j is y^j in the λ-falling basis: degenerate Stirling numbers of the second kind."""
-        return self._get(("stirling2",), lambda: [
-            families.falling_basis_coefficients(Y ** j) for j in range(self.order + 1)
-        ])
-
-    def expect(self, p: Poly, provider: MomentProvider) -> Poly:
-        """E[p(Y)] for a y-degree at most ``order``: the dot of [y^j]p with E[Y^j]."""
-        degree = p.degree("y")
-        if degree > self.order:
-            raise ValueError(f"y-degree {degree} is past the workspace order {self.order}; "
-                             f"{expect_polynomial.__name__} takes any degree")
-
-        def ordinary():
-            degenerate = self.mgf(provider).egf_coefficients(self.order)
-            return [Poly.dot((1, c, degenerate[k]) for k, c in enumerate(row) if c)
-                    for row in self.stirling_rows()]
-
-        moments = self._get(("ordinary-moments", provider), ordinary)
-        return Poly.dot((1, p.coefficient_of("y", j), moments[j]) for j in range(degree + 1))
-
-    def sheffer(self, provider: MomentProvider, at: Poly) -> list[Poly]:
-        """The provider's Sheffer family at ``at``: e_λ^at(t) over the moment series."""
-
-        def make():
-            inverse = self._get(("inverse-mgf", provider), lambda: self.mgf(provider).reciprocal())
-            return (inverse * self.exp_of(at)).egf_coefficients(self.order)
-
-        return self._get(("sheffer", provider, at), make)
+    build: Callable[[Workspace], list[Instance]]
 
 
 _REGISTRY: dict[str, IdentityCase] = {}

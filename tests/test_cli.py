@@ -916,6 +916,82 @@ def test_mc_caps_the_stream_count(argv, streams, monkeypatch, capsys):
         assert sampled == [streams]
 
 
+@pytest.mark.parametrize("argv", [
+    ("thm3.1", "--provider", "iid:ber:1/2:5000"),
+    ("thm3.7", "--m", "5000", "--l", f"{MC_MAX_STREAMS + 1}"),
+])
+def test_mc_refuses_too_many_streams_before_it_builds_the_target(argv, monkeypatch, capsys):
+    # at a large n the target alone takes seconds, so the refusal comes first
+    def no_target(provider):
+        raise AssertionError("the target was built")
+
+    monkeypatch.setattr("degenpoly.cli.ShefferSequence", no_target)
+    code, out, err = run(capsys, "mc", *argv, "--n", "40", "--lambda", "1/8", "--x", "1/4")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: mc samples at most {MC_MAX_STREAMS} uniform streams; ")
+
+
+def test_every_hybrid_table_reads_the_workspace():
+    # the values `table` prints come from the recipe that `verify` proves, and the registry
+    # itself is still not loaded; a fresh interpreter, since this process has loaded it
+    script = """
+import contextlib, io, sys
+import degenpoly.cli
+from degenpoly import families
+seen = []
+hybrid = families.Workspace.hybrid
+def spy(self, e1, e2, at):
+    seen.append((self.order, str(e1), str(e2), str(at)))
+    return hybrid(self, e1, e2, at)
+families.Workspace.hybrid = spy
+for family in degenpoly.cli._FAMILY_NAMES:
+    extra = ["--provider", "uniform01"] if family == "sheffer-y" else []
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = degenpoly.cli.main(["table", family, "--n", "3", *extra])
+    print(family, code, seen)
+    seen.clear()
+print("degenpoly.identities" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines() == [
+        "falling-lambda 0 [(3, '0', '0', 'x')]",
+        "deg-bernoulli 0 [(3, '1', '0', '0')]",
+        "deg-euler 0 [(3, '0', '1', '0')]",
+        "higher-bernoulli 0 [(3, 'a', '0', '0')]",
+        "higher-euler 0 [(3, '0', 'b', '0')]",
+        "sheffer-t 0 [(3, 'a', 'b', '0')]",
+        "stirling1 0 []",
+        "sheffer-y 0 []",
+        "False",
+    ]
+
+
+@pytest.mark.parametrize("argv, calls, pairs", [
+    (("table", "sheffer-t", "--n", "8", "--x", "x"), 101, 7472),
+    (("table", "sheffer-y", "--provider", "iid:uniform01:2", "--n", "8", "--x", "x"), 47, 993),
+])
+def test_table_kernel_work_budget(argv, calls, pairs, monkeypatch, capsys):
+    # a table builds one family; a recipe that makes more products, or larger ones, for the
+    # same values has to raise this budget in plain sight
+    for name in ("bernoulli_base", "euler_base", "stirling_first"):  # a cached value is no product
+        getattr(families, name).cache_clear()
+    seen = {"calls": 0, "pairs": 0}
+    dot = Poly.dot.__func__
+
+    def spy(cls, triples):
+        triples = list(triples)
+        seen["calls"] += 1
+        seen["pairs"] += sum(len(f.terms) * len(g.terms) for w, f, g in triples if w)
+        return dot(cls, triples)
+
+    monkeypatch.setattr(Poly, "dot", classmethod(spy))
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert seen["calls"] <= calls and seen["pairs"] <= pairs, seen
+
+
 def test_mc_peak_memory_is_bounded_by_the_chunk():
     # the child reads its own high-water mark: ru_maxrss would carry the parent's across exec
     if not os.path.exists("/proc/self/status"):

@@ -5,6 +5,7 @@ import pytest
 
 from degenpoly import (
     IndexOutOfRange,
+    OrderExceeded,
     Poly,
     Series,
     ZERO,
@@ -166,6 +167,29 @@ def test_hybrid_first_value():
     assert sheffer_type(1, 1, 1) == LAM / 2 - 1
 
 
+_LIBRARY_CALLS = {
+    "bernoulli_polynomials": lambda n: bernoulli_polynomials(n, X),
+    "euler_polynomials": lambda n: euler_polynomials(n, X),
+    "bernoulli_deg": lambda n: bernoulli_deg(n, X),
+    "euler_deg": lambda n: euler_deg(n),
+    "higher_bernoulli": lambda n: higher_bernoulli(n, A, X),
+    "higher_euler": lambda n: higher_euler(n, 1),
+    "sheffer_type": lambda n: sheffer_type(n, A, B, X),
+}
+
+
+@pytest.mark.parametrize("n", [-1, -2])
+@pytest.mark.parametrize("name", _LIBRARY_CALLS)
+def test_a_negative_n_reads_no_value(name, n):
+    # a value list stops before index 0; a single value is no coefficient of the series
+    call = _LIBRARY_CALLS[name]
+    if name.endswith("_polynomials"):
+        assert call(n) == []
+    else:
+        with pytest.raises(OrderExceeded, match=f"no coefficient {n}"):
+            call(n)
+
+
 def test_stirling_first_triangle():
     for n in range(8):
         assert stirling_first(n, n) == 1
@@ -225,11 +249,12 @@ def test_falling_basis_of_plain_falling_factorial():
 
 _LAZY_BUILDERS = {
     "degenerate_exp": lambda: degenerate_exp(X),
-    "bernoulli": lambda: families.bernoulli_series(X),
-    "euler": lambda: families.euler_series(X),
-    "higher_bernoulli": lambda: families.sheffer_type_series(A, 0, X),
-    "higher_euler": lambda: families.sheffer_type_series(0, B, X),
-    "sheffer_type": lambda: families.sheffer_type_series(A, B, X),
+    "bernoulli": lambda: families.bernoulli_base() * degenerate_exp(X),
+    "euler": lambda: families.euler_base() * degenerate_exp(X),
+    "higher_bernoulli": lambda: families.bernoulli_base().pow(A) * degenerate_exp(X),
+    "higher_euler": lambda: families.euler_base().pow(B) * degenerate_exp(X),
+    "sheffer_type": lambda: (families.bernoulli_base().pow(A) * families.euler_base().pow(B)
+                             * degenerate_exp(X)),
     "uniform01": lambda: ShefferSequence(Uniform01()).series(X),
     "ber:p": lambda: ShefferSequence(Bernoulli(P)).series(X),
     "iid:ber:1/2:2": lambda: ShefferSequence(IidSum(Bernoulli(half), 2)).series(X),

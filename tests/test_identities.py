@@ -3,6 +3,8 @@ import itertools
 import json
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -235,7 +237,10 @@ def test_workspace_hybrid_matches_the_family_constructors():
     for e1, e2, at in itertools.product(
         (ZERO, ONE, A, A - 1), (ZERO, ONE, B, B - 1), (ZERO, X, X + 1, X + Y)
     ):
-        expected = families.sheffer_type_series(e1, e2, at).egf_coefficients(ws.order)
+        factors = [base().pow(e) for base, e in
+                   ((families.bernoulli_base, e1), (families.euler_base, e2)) if e]
+        product = reduce(mul, factors + [families.degenerate_exp(at)])
+        expected = product.egf_coefficients(ws.order)
         assert ws.hybrid(e1, e2, at) == expected, (e1, e2, at)
         if not e2:
             assert ws.higher_bernoulli(e1, at) == expected, (e1, at)

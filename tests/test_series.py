@@ -22,7 +22,7 @@ from degenpoly import (
     B,
 )
 from degenpoly import families
-from degenpoly.families import bernoulli_base, bernoulli_series, degenerate_exp, euler_base
+from degenpoly.families import bernoulli_base, degenerate_exp, euler_base
 
 import oracles
 
@@ -177,7 +177,7 @@ def test_scale_t():
 
 def test_scale_t_matches_parameter_halving():
     # doubling t in the halved-parameter series reproduces the two-base product
-    halved = bernoulli_series(X).map_coefficients(
+    halved = (bernoulli_base() * degenerate_exp(X)).map_coefficients(
         lambda c: c.substitute({"λ": LAM / 2, "x": X / 2})
     )
     lhs = halved.scale_t(2)
@@ -199,7 +199,8 @@ def test_egf_coefficient():
     ex = degenerate_exp(X)
     assert ex.egf_coefficient(2) == X ** 2 - LAM * X
     assert ex.egf_coefficient(0) == ONE
-    assert bernoulli_series(ZERO).egf_coefficient(2) == Fraction(1, 6) - LAM ** 2 / 6
+    bernoulli = bernoulli_base() * degenerate_exp(ZERO)
+    assert bernoulli.egf_coefficient(2) == Fraction(1, 6) - LAM ** 2 / 6
     with pytest.raises(OrderExceeded):
         ex.egf_coefficient(-1)
 
