@@ -22,9 +22,8 @@ holds, so the interpreter's final collection at exit does not walk them;
 output flushing, ``atexit`` handlers and module teardown still run.  ``main``
 freezes nothing, so tests and library callers may call it in process.  Only
 ``verify`` imports ``identities``, the registry; ``table`` and ``mc`` never
-load it.  ``table`` reads each hybrid family from a fresh ``families.Workspace``,
-the recipe whose values ``verify`` proves; ``table sheffer-y`` and the ``mc``
-target read ``randvar.ShefferSequence``.
+load it.  ``table`` and the ``mc`` target read each family from a fresh
+``families.Workspace``, the recipe whose values ``verify`` proves.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from .randvar import (
     Bernoulli,
     IidSum,
     MomentProvider,
-    ShefferSequence,
     Uniform01,
     UnsamplableProvider,
     Zero,
@@ -289,7 +287,7 @@ def _has_symbolic_p(provider: MomentProvider) -> bool:
 
 
 def _family_values(args, n_max: int, at: Poly, meta_params: dict[str, str]) -> list[Poly]:
-    """The values n = 0..n_max of a series-built family, from a fresh Workspace or provider."""
+    """The values n = 0..n_max of a series-built family, from a fresh Workspace."""
     if args.family == _SHEFFER_Y:
         if args.provider is None:
             raise BadParams("family sheffer-y needs --provider")
@@ -297,7 +295,7 @@ def _family_values(args, n_max: int, at: Poly, meta_params: dict[str, str]) -> l
         if args.p is not None and not _has_symbolic_p(provider):
             raise BadParams(f"sheffer-y with provider {args.provider} takes no --p")
         meta_params["provider"] = args.provider
-        return ShefferSequence(provider).polynomials(n_max, at)
+        return families.Workspace(n_max).sheffer(provider, at)
     a, b = [_order_param(getattr(args, e), e, meta_params) if isinstance(e, str) else e
             for e in _HYBRID_ORDERS[args.family]]
     return families.Workspace(n_max).hybrid(a, b, at)
@@ -439,7 +437,7 @@ def cmd_mc(args) -> int:
     if provider.columns > MC_MAX_STREAMS:
         raise BadParams(f"mc samples at most {MC_MAX_STREAMS} uniform streams; "
                         f"{provider.label()} needs {provider.columns}")
-    target = ShefferSequence(outer).polynomial(n, X + Poly.var("y"))
+    target = families.Workspace(n).sheffer(outer, X + Poly.var("y"))[n]
     exact = (families.falling_factorial(X, n) if args.identity == "thm3.1"
              else families.higher_euler(n, m - l, X)).evaluate(point)
     try:

@@ -148,9 +148,9 @@ class IidSum(MomentProvider):
         object.__setattr__(self, "m", m)
 
     def mgf(self) -> Series:
-        # independence: the moment series of the sum is the m-th power, taken as exp(m·log) so
-        # that a read recurses a fixed depth however large m is (square-and-multiply: log2 m)
-        return self.base.mgf().pow(self.m)
+        # independence: the moment series of the sum is the m-th power, by Miller's recurrence,
+        # so a read recurses a fixed depth however large m is
+        return self.base.mgf().pow_int(self.m)
 
     @property
     def columns(self) -> int:

@@ -11,6 +11,8 @@ with zeros.
 Reads mutate a series, and the family bases are shared by every caller in
 the process, so one re-entrant module lock is held while a list is
 extended.  The constant-term checks are made when an operation is called.
+Every integer power, the reciprocal included, is one rule: ``pow_int``,
+Miller's recurrence.  A symbolic power is exp(e·log), ``pow``.
 
 Coefficients are stored in ordinary form: ``coefficient(n)`` is the literal
 coefficient of t^n.  The exponential-generating-function convention (divide
@@ -25,7 +27,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Iterable
 
-from .poly import Poly, PolyLike, ZERO, ONE, as_poly, int_power
+from .poly import Poly, PolyLike, ZERO, ONE, as_poly
 
 # held while any series extends its list; a rule reads its inputs with it held
 _LOCK = threading.RLock()
@@ -117,21 +119,8 @@ class Series:
     # -- multiplicative structure -------------------------------------------------
 
     def reciprocal(self) -> "Series":
-        """Series G with self*G = 1.
-
-        The constant term must be a nonzero rational.
-        """
-        c0 = self.coefficient(0)
-        if not c0.is_constant() or not c0:
-            raise NonUnitConstantTerm(f"constant term {c0} is not an invertible rational")
-        inv0 = Fraction(1) / c0.constant_value()
-
-        def rule(out):
-            n = len(out)
-            f = self._upto(n)
-            return Poly.dot((1, f[k], out[n - k]) for k in range(1, n + 1) if f[k]) * (-inv0)
-
-        return Series([Poly.const(inv0)], rule)
+        """Series G with self*G = 1, the power −1; the constant term is a nonzero rational."""
+        return self.pow_int(-1)
 
     def log(self) -> "Series":
         """Logarithm of a series with constant term exactly 1.
@@ -176,8 +165,28 @@ class Series:
         return (self.log() * exponent).exp()
 
     def pow_int(self, exponent: int) -> "Series":
-        """Non-negative integer power by square-and-multiply."""
-        return int_power(self, exponent, Series([ONE]))
+        """Integer power, negative included, by J. C. P. Miller's recurrence (TAOCP Vol. 2, §4.7).
+
+        The constant term c must be a nonzero rational.  G = F^m has F·G' = m·F'·G, so g_0 = c^m
+        and n·c·g_n = Σ_{k=1..n} ((m+1)k − n)·f_k·g_{n−k}: one integer-weighted product sum per
+        coefficient, a fixed recursion depth for any m, and the series itself for m = 1.
+        """
+        if not isinstance(exponent, int):
+            raise ValueError(f"pow_int needs an integer exponent, got {exponent!r}")
+        c0 = self.coefficient(0)
+        if not c0.is_constant() or not c0:
+            raise NonUnitConstantTerm(f"constant term {c0} is not an invertible rational")
+        if exponent == 1:
+            return self
+        c = c0.constant_value()
+
+        def rule(out):
+            n = len(out)
+            f = self._upto(n)
+            terms = (((exponent + 1) * k - n, f[k], out[n - k]) for k in range(1, n + 1) if f[k])
+            return Poly.dot(terms) / (n * c)
+
+        return Series([Poly.const(c ** exponent)], rule)
 
     # -- reindexing ------------------------------------------------------------
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import degenpoly
 from degenpoly import (
     DEGREE_LIMIT, Poly, bernoulli_polynomials, euler_polynomials, families, registered_ids,
     sheffer_type, X,
@@ -783,7 +784,8 @@ def test_byte_determinism_across_formats(capsys):
         assert out1 == out2
 
 
-_SRC = Path(__file__).resolve().parents[1] / "src"
+# the package under test, which may be another checkout's: fresh interpreters import it too
+_SRC = Path(degenpoly.__file__).resolve().parents[1]
 
 
 def test_numpy_is_imported_by_mc_only():
@@ -814,7 +816,6 @@ print(seen)
 
 
 def test_package_re_exports_the_identity_names():
-    import degenpoly
     from degenpoly import Report, verify_all
 
     assert verify_all is degenpoly.identities.verify_all
@@ -922,10 +923,10 @@ def test_mc_caps_the_stream_count(argv, streams, monkeypatch, capsys):
 ])
 def test_mc_refuses_too_many_streams_before_it_builds_the_target(argv, monkeypatch, capsys):
     # at a large n the target alone takes seconds, so the refusal comes first
-    def no_target(provider):
+    def no_target(self, provider, at):
         raise AssertionError("the target was built")
 
-    monkeypatch.setattr("degenpoly.cli.ShefferSequence", no_target)
+    monkeypatch.setattr(families.Workspace, "sheffer", no_target)
     code, out, err = run(capsys, "mc", *argv, "--n", "40", "--lambda", "1/8", "--x", "1/4")
     assert (code, out) == (2, "")
     assert err.startswith(f"error: mc samples at most {MC_MAX_STREAMS} uniform streams; ")
@@ -951,11 +952,15 @@ for family in degenpoly.cli._FAMILY_NAMES:
     print(family, code, seen)
     seen.clear()
 print("degenpoly.identities" in sys.modules)
+print(degenpoly.__file__)
 """
     env = {**os.environ, "PYTHONPATH": str(_SRC)}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.splitlines() == [
+    *lines, child_package = done.stdout.splitlines()
+    # the child imports the package under test, not whichever checkout holds this file
+    assert Path(child_package).resolve() == Path(degenpoly.__file__).resolve()
+    assert lines == [
         "falling-lambda 0 [(3, '0', '0', 'x')]",
         "deg-bernoulli 0 [(3, '1', '0', '0')]",
         "deg-euler 0 [(3, '0', '1', '0')]",
@@ -970,7 +975,7 @@ print("degenpoly.identities" in sys.modules)
 
 @pytest.mark.parametrize("argv, calls, pairs", [
     (("table", "sheffer-t", "--n", "8", "--x", "x"), 101, 7472),
-    (("table", "sheffer-y", "--provider", "iid:uniform01:2", "--n", "8", "--x", "x"), 47, 993),
+    (("table", "sheffer-y", "--provider", "iid:uniform01:2", "--n", "8", "--x", "x"), 39, 877),
 ])
 def test_table_kernel_work_budget(argv, calls, pairs, monkeypatch, capsys):
     # a table builds one family; a recipe that makes more products, or larger ones, for the

@@ -286,8 +286,8 @@ def test_verify_all_kernel_work_budget(monkeypatch):
 
     monkeypatch.setattr(poly.Poly, "dot", classmethod(spy))
     assert all(r.equal for r in verify_all(max_n=6))
-    assert seen["calls"] <= 1348, seen
-    assert seen["pairs"] <= 61784, seen
+    assert seen["calls"] <= 1330, seen
+    assert seen["pairs"] <= 61444, seen
 
 
 def test_verify_all_peak_memory():

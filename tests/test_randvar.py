@@ -31,7 +31,7 @@ from degenpoly import (
     higher_euler,
     mc_estimate,
 )
-from degenpoly.families import bernoulli_base, degenerate_exp
+from degenpoly.families import Workspace, bernoulli_base, degenerate_exp
 from degenpoly import randvar
 from degenpoly.randvar import CHUNK, McEstimate
 from oracles import copy_major_draws, independent_sum_moments, sample_chunks
@@ -81,6 +81,13 @@ def test_iid_sum_mgf_two_paths():
         fold = IidSum(u, m).mgf().egf_coefficients(8)
         assert fold == u.mgf().pow(m).egf_coefficients(8)
         assert fold == u.mgf().pow_int(m).egf_coefficients(8)
+
+
+def test_iid_sheffer_family_at_a_4300_digit_copy_count():
+    # m certain ones sum to m, and e_λ^x / e_λ^m = e_λ^{x−m}: a read recurses a fixed depth
+    m = 10**4299
+    values = Workspace(3).sheffer(IidSum(Bernoulli(1), m), X)
+    assert values == [falling_factorial(X - m, n) for n in range(4)]
 
 
 def test_iid_sum_moment_convolves():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenpoly import (
+    Bernoulli,
     NonUnitConstantTerm,
     NonzeroConstantTerm,
     OrderExceeded,
@@ -20,6 +21,8 @@ from degenpoly import (
     Y,
     A,
     B,
+    P,
+    Uniform01,
 )
 from degenpoly import families
 from degenpoly.families import bernoulli_base, degenerate_exp, euler_base
@@ -162,9 +165,14 @@ def test_symbolic_power_matches_integer_folds():
         assert values(f.pow(k), 6) == values(f.pow_int(k), 6)
 
 
-def test_pow_int_rejects_negative():
-    with pytest.raises(ValueError):
-        Series([ONE]).pow_int(-1)
+def test_pow_int_takes_every_integer_and_only_integers():
+    for provider in (Uniform01(), Bernoulli(P)):
+        f = provider.mgf()
+        for exponent in (1.5, Fraction(1, 2)):
+            with pytest.raises(ValueError):
+                f.pow_int(exponent)
+        # a negative power is the reciprocal of the positive one
+        assert values(f.pow_int(-3) * f.pow_int(3)) == values(Series([ONE]))
 
 
 def test_scale_t():
