@@ -171,30 +171,13 @@ def _exact_text():
         set_limit(saved)
 
 
-def _latex_fraction(value: Fraction) -> str:
-    sign = "-" if value < 0 else ""
-    mag = abs(value)
-    if mag.denominator == 1:
-        return f"{sign}{mag.numerator}"
-    return f"{sign}\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-
-
-_LATEX_VARS = {"λ": "\\lambda"}
-
-
-def _latex_monomial(exps: tuple[int, ...]) -> str:
-    factors = []
-    for i, e in enumerate(exps):
-        if not e:
-            continue
-        name = _LATEX_VARS.get(VAR_NAMES[i], VAR_NAMES[i])
-        factors.append(name if e == 1 else f"{name}^{{{e}}}")
-    return " ".join(factors)
+def _latex_fraction(num: int, den: int) -> str:
+    return f"\\frac{{{num}}}{{{den}}}" if den != 1 else str(num)
 
 
 def poly_latex(p: Poly) -> str:
-    """Render in canonical term order with \\frac coefficients."""
-    return p.render(_latex_fraction, _latex_monomial, " ")
+    """Render in canonical term order with \\frac coefficients and braced exponents."""
+    return p.render(_latex_fraction, ("\\lambda", *VAR_NAMES[1:]), "{}^{{{}}}", " ")
 
 
 def _emit(text: str) -> None:
@@ -328,7 +311,7 @@ def _family_rows(args, n_max: int) -> tuple[list[dict], dict]:
                 value = families.stirling_first(n, k)
                 rows.append({"n": n, "k": k, "value": str(value)})
                 if with_latex:
-                    rows[-1]["latex"] = _latex_fraction(value)
+                    rows[-1]["latex"] = poly_latex(Poly.const(value))
     else:
         for n, value in enumerate(_family_values(args, n_max, at, meta_params)):
             value = value.substitute(pins) if pins else value
@@ -446,6 +429,10 @@ def cmd_mc(args) -> int:
     except OverflowError as exc:  # the pinned target or the exact value passes the float range
         raise BadParams(f"mc needs values in the float range: {exc}") from exc
     if result.std_error == 0:
+        # from n = 1 on the target is monic in y, so draws that all give one float say nothing
+        if n:
+            raise BadParams("mc draws carry no information: every sampled value of the target "
+                            "is the same float, so std_error is 0")
         z = 0.0 if result.estimate == exact_float else float("inf")
     else:  # a nan spread gives a nan z, which never passes
         z = (result.estimate - exact_float) / result.std_error

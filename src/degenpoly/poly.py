@@ -13,7 +13,7 @@ product of two monomials is then the sum of their keys, and comparing keys
 as ints is the canonical print order.  Each field keeps its top bit clear as
 a guard, so every exponent stays below ``DEGREE_LIMIT``; a product that
 would reach it raises ``DegreeLimitExceeded``.  Exponent tuples appear only
-at the view boundaries (``terms``, ``sorted_terms`` and the constructor).
+at the view boundaries (``terms`` and the constructor).
 
 Every product of two non-constant polynomials goes through ``Poly.dot``,
 which accumulates integer-weighted products over the common denominator and
@@ -23,8 +23,11 @@ constant) is one pass over the numerators.  All term additions go through
 
 The canonical term order used for printing is graded lexicographic over the
 registry order (λ before x before y before a before b before p), highest
-terms first.  ``str`` and ``Poly.parse`` are mutual inverses on that form,
-which is what the CLI golden files and the JSON round-trip rely on.
+terms first.  ``Poly.render`` is the one walk in that order: it reads the
+packed keys and the integer numerators, and ``str`` and the CLI's LaTeX are
+two spellings passed to it.  ``str`` and ``Poly.parse`` are mutual inverses
+on the canonical form, which is what the CLI golden files and the JSON
+round-trip rely on.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import or_
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 VAR_NAMES: tuple[str, ...] = ("λ", "x", "y", "a", "b", "p")
 NVARS = len(VAR_NAMES)
@@ -87,6 +90,11 @@ def _pack(exps: tuple[int, ...]) -> int:
 
 def _unpack(key: int) -> tuple[int, ...]:
     return tuple([key >> s & _FIELD_MASK for s in _SHIFTS])
+
+
+def _plain_fraction(num: int, den: int) -> str:
+    """The plain-text spelling of a reduced magnitude: ``num`` or ``num/den``."""
+    return f"{num}/{den}" if den != 1 else str(num)
 
 
 class _Terms(Mapping):
@@ -385,53 +393,38 @@ class Poly:
 
     # -- canonical text form -------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        """Terms in descending graded-lexicographic order: the packed keys, descending."""
-        nums, den = self._nums, self._den
-        return [(_unpack(key), Fraction(nums[key], den)) for key in sorted(nums, reverse=True)]
+    def render(self, fraction: Callable[[int, int], str], names: Sequence[str], power: str,
+               times: str) -> str:
+        """Walk the packed keys in descending order with the shared sign and unit rules.
 
-    @staticmethod
-    def _monomial_str(exps: tuple[int, ...]) -> str:
-        parts = []
-        for i, e in enumerate(exps):
-            if e == 1:
-                parts.append(VAR_NAMES[i])
-            elif e > 1:
-                parts.append(f"{VAR_NAMES[i]}^{e}")
-        return "*".join(parts)
-
-    def render(
-        self,
-        coefficient: Callable[[Fraction], str],
-        monomial: Callable[[tuple[int, ...]], str],
-        times: str,
-    ) -> str:
-        """Walk the terms in canonical order with the shared sign and unit rules.
-
-        ``coefficient`` spells a positive magnitude, ``monomial`` an exponent
-        tuple (empty for the constant term), and ``times`` joins the two; a
+        A spelling is four parts: ``fraction(num, den)`` spells a positive reduced
+        magnitude, ``names`` the registry variables in order, ``power`` formats a name
+        and an exponent above 1, and ``times`` joins the factors of a term.  A
         magnitude of 1 in front of a monomial is omitted.
         """
         if not self._nums:
             return "0"
+        nums, den = self._nums, self._den
+        fields = tuple(zip(_SHIFTS, names))
         pieces: list[str] = []
-        for exps, coeff in self.sorted_terms():
-            mono = monomial(exps)
-            mag = abs(coeff)
-            if not mono:
-                body = coefficient(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{coefficient(mag)}{times}{mono}"
-            if not pieces:
-                pieces.append(f"-{body}" if coeff < 0 else body)
-            else:
-                pieces.append(f"- {body}" if coeff < 0 else f"+ {body}")
-        return " ".join(pieces)
+        for key in sorted(nums, reverse=True):
+            num = nums[key]
+            mag = -num if num < 0 else num
+            factors = []
+            if mag != den or not key:
+                g = gcd(mag, den)
+                factors.append(fraction(mag // g, den // g))
+            for s, name in fields:
+                e = key >> s & _FIELD_MASK
+                if e:
+                    factors.append(name if e == 1 else power.format(name, e))
+            pieces.append(("- " if num < 0 else "+ ") + times.join(factors))
+        text = " ".join(pieces)
+        # the leading sign is written on its term, and a leading "+" not at all
+        return "-" + text[2:] if text[0] == "-" else text[2:]
 
     def __str__(self) -> str:
-        return self.render(str, self._monomial_str, "*")
+        return self.render(_plain_fraction, VAR_NAMES, "{}^{}", "*")
 
     def __repr__(self) -> str:
         return f"Poly({self})"

@@ -5,6 +5,7 @@ classical polynomial families and the degenerate Bernoulli and Euler
 numbers come from their own recurrences, series logarithms from the
 alternating-power composition formula, binomial series from the explicit
 product, polynomial ring operations from a plain map of ``Fraction``
+coefficients, canonical text from exponent tuples and ``Fraction``
 coefficients, and Monte-Carlo draws from one generator in copy-major
 order.  Expected values asserted in the tests were computed with these.
 
@@ -18,8 +19,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 from degenpoly import (
-    Bernoulli, CustomMoments, IidSum, MomentProvider, Poly, Series, Uniform01, ONE, ZERO, X, A,
-    falling_factorial,
+    Bernoulli, CustomMoments, IidSum, MomentProvider, Poly, Series, Uniform01, VAR_NAMES, ONE, ZERO,
+    X, A, falling_factorial,
 )
 from degenpoly.randvar import CHUNK
 
@@ -125,6 +126,36 @@ def terms_add(a: dict, b: dict) -> dict:
 
 def terms_neg(a: dict) -> dict:
     return {exps: -c for exps, c in a.items()}
+
+
+def rendered(p: Poly, latex: bool = False) -> str:
+    """``str(p)``, or ``cli.poly_latex(p)`` with ``latex``, from the exponent tuples of ``p.terms``.
+
+    Terms go in descending graded order, by total degree and then by the tuple;
+    each is spelled from its ``Fraction`` coefficient.
+    """
+    names = ("\\lambda", *VAR_NAMES[1:]) if latex else VAR_NAMES
+    pieces: list[str] = []
+    for exps, coeff in sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True):
+        mag = abs(coeff)
+        if mag.denominator == 1:
+            number = str(mag.numerator)
+        elif latex:
+            number = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+        else:
+            number = f"{mag.numerator}/{mag.denominator}"
+        factors = [] if mag == 1 and any(exps) else [number]
+        for name, e in zip(names, exps):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{{{e}}}" if latex else f"{name}^{e}")
+        body = (" " if latex else "*").join(factors)
+        if not pieces:
+            pieces.append("-" + body if coeff < 0 else body)
+        else:
+            pieces.append(("- " if coeff < 0 else "+ ") + body)
+    return " ".join(pieces) if pieces else "0"
 
 
 def binomial_coefficient_poly(n: int) -> Poly:

@@ -65,6 +65,18 @@ def test_table_stirling_single_row(capsys):
     assert lines[1].split() == ["0", "0", "1"]
 
 
+def test_stirling1_latex_cells_are_poly_latex(capsys):
+    code, out, _ = run(capsys, "table", "stirling1", "--n", "4", "--format", "latex")
+    assert code == 0
+    rows = [line.removesuffix(" \\\\").split(" & ") for line in out.splitlines() if " & " in line]
+    assert rows[0] == ["n", "k", "value"] and len(rows) == 1 + 15
+    cells = {(int(n), int(k)): latex for n, k, latex in rows[1:]}
+    for (n, k), latex in cells.items():
+        assert latex == f"${poly_latex(Poly.const(families.stirling_first(n, k)))}$"
+    # signed values follow the polynomial sign rule
+    assert (cells[4, 1], cells[4, 2], cells[4, 0]) == ("$-6$", "$11$", "$0$")
+
+
 def test_table_symbolic_argument(capsys):
     for text, at in (("x", X), ("x+1", X + 1), ("2*x", 2 * X)):
         code, out, _ = run(capsys, "table", "deg-bernoulli", "--n", "3", "--x", text)
@@ -239,6 +251,29 @@ def test_mc_constant_case(capsys):
         '"exact_float","estimate","std_error","z","pass"\n'
         '"mc","thm3.1",0,"1/8","1/4",100,42,"uniform01","1/1",1.0,1.0,0.0,0.0,True\n'
     )
+
+
+@pytest.mark.parametrize("spec", ["ber:1", "ber:0"])
+def test_mc_point_mass_never_passes(capsys, spec):
+    """Draws of a point mass are all one float, so they say nothing about the target's y.
+
+    Where their float mean is that float, std_error is 0 and the run exits 2; where the mean
+    is off by rounding, the spread is that rounding and z fails the run.
+    """
+    codes = {}
+    for n in ("1", "2", "3", "5"):
+        for x in ("1/4", "2/3", "1/3"):
+            code, out, err = run(capsys, "mc", "thm3.1", "--provider", spec, "--n", n,
+                                 "--lambda", "1/8", "--x", x, "--samples", "200", "--format", "json")
+            codes[n, x] = code
+            if code == 2:
+                assert out == "" and "carry no information" in err
+                assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+            else:
+                doc = json.loads(out)
+                assert (code, doc["pass"]) == (1, False) and doc["std_error"] > 0, (n, x)
+    # at x = 1/4 and λ = 1/8 every value is dyadic, so the mean is exact and the spread 0
+    assert [code for (n, x), code in codes.items() if x == "1/4"] == [2, 2, 2, 2]
 
 
 def test_mc_thm37(capsys):
@@ -740,9 +775,10 @@ def _mc_figures(out: str, fmt: str) -> tuple[float, float]:
 
 @settings(max_examples=120, deadline=None)
 @given(_contract_argv())
-# a pass on a nan standard error, and an inf estimate reported as a failure
+# draws that are all one float, flagged so that they must exit 2 like a malformed literal;
+# then a pass on a nan standard error, and an inf estimate reported as a failure
 @example((["mc", "thm3.1", "--n", "1", "--lambda", "1/8", "--x", _FOUND_X[1], "--samples", "1000"],
-          False))
+          True))
 @example((["mc", "thm3.1", "--n", "2", "--lambda", "1/8", "--x", _FOUND_X[2], "--samples", "1000"],
           False))
 # a count outside the grammar, and an i.i.d. sum of very many copies

@@ -3,15 +3,19 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degenpoly import (
-    DEGREE_LIMIT, DegreeLimitExceeded, Poly, UnboundVariable, VAR_NAMES, ZERO, ONE, LAM, X, Y, P,
+    DEGREE_LIMIT, DegreeLimitExceeded, Poly, UnboundVariable, VAR_NAMES, ZERO, ONE, LAM, X, Y, A, B,
+    P,
 )
+from degenpoly import poly as poly_module
+from degenpoly.cli import poly_latex
+from degenpoly.families import Workspace
 from degenpoly.poly import as_poly, int_power
 
-from oracles import terms_add, terms_mul, terms_neg
+from oracles import rendered, terms_add, terms_mul, terms_neg
 
 
 def test_falling_product_expands():
@@ -168,14 +172,14 @@ coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
 @st.composite
-def term_maps(draw, var_names=("λ", "x"), max_terms=4, max_exp=3):
+def term_maps(draw, var_names=("λ", "x"), max_terms=4, max_exp=3, coeffs=coefficients):
     indices = [VAR_NAMES.index(v) for v in var_names]
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
         exps = [0] * len(VAR_NAMES)
         for i in indices:
             exps[i] = draw(st.integers(0, max_exp))
-        terms[tuple(exps)] = draw(coefficients)
+        terms[tuple(exps)] = draw(coeffs)
     return terms
 
 
@@ -277,16 +281,11 @@ def test_dot_of_nothing_is_zero():
         assert (empty._nums, empty._den) == ({}, 1)
 
 
-def _graded_key(exps: tuple[int, ...]) -> tuple:
-    return (sum(exps), exps)
-
-
 @settings(max_examples=60, deadline=None)
 @given(term_maps(("λ", "x", "y", "p"), max_terms=6, max_exp=4))
 def test_views_match_the_tuple_terms(terms):
     p = Poly(terms)
     ref = {exps: Fraction(c) for exps, c in terms.items() if c}
-    assert p.sorted_terms() == sorted(ref.items(), key=lambda kv: _graded_key(kv[0]), reverse=True)
     assert p.degree() == max((sum(exps) for exps in ref), default=0)
     assert p.variables() == {VAR_NAMES[i] for exps in ref for i, e in enumerate(exps) if e}
     for i, name in enumerate(VAR_NAMES):
@@ -373,6 +372,49 @@ def test_canonical_construction_order(p):
     for zero in (Poly.sum([]), Poly.sum([p, -p])):
         assert zero == ZERO
         assert not zero.terms
+
+
+# units, small fractions and numerators far past 64 bits
+_TEXT_COEFFS = st.one_of(
+    st.sampled_from((1, -1)),
+    coefficients,
+    st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 30)),
+)
+_CONSTANT = (0,) * len(VAR_NAMES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_maps(VAR_NAMES, max_terms=5, max_exp=3, coeffs=_TEXT_COEFFS))
+@example({})
+@example({_CONSTANT: 1})
+@example({_CONSTANT: -1})
+@example({_CONSTANT: Fraction(-7, 3)})
+@example({(0, 1, 0, 0, 0, 0): -1, _CONSTANT: 1})
+@example({(2, 0, 0, 0, 0, 1): Fraction(-3, 4), (0, 0, 1, 1, 1, 0): 1, _CONSTANT: -10 ** 30})
+def test_text_matches_the_tuple_walk(terms):
+    """Both spellings of the packed-key walk against the walk over exponent tuples and Fractions."""
+    p = Poly(terms)
+    assert str(p) == rendered(p)
+    assert poly_latex(p) == rendered(p, latex=True)
+
+
+def test_rendering_builds_no_fraction_and_no_exponent_tuple(monkeypatch):
+    values = Workspace(9).hybrid(A, B, X)
+    calls = []
+
+    def spy(real):
+        def counted(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(poly_module, "Fraction", spy(Fraction))
+    monkeypatch.setattr(poly_module, "_unpack", spy(poly_module._unpack))
+    for value in values:
+        str(value), poly_latex(value)
+    assert calls == []
+    list(values[9].terms)  # the tuple view unpacks every key, so the spy is live
+    assert calls == ["_unpack"] * len(values[9].terms)
 
 
 @settings(max_examples=40, deadline=None)
