@@ -39,8 +39,8 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import DEGREE_LIMIT, DegreeLimitExceeded, Poly, VAR_NAMES, ZERO, X
-from .series import OrderExceeded
+from .poly import DEGREE_LIMIT, DegreeLimitExceeded, Poly, VAR_NAMES, ZERO, X, Y
+from .series import OrderExceeded, Series
 from . import families
 from .randvar import (
     Bernoulli,
@@ -269,8 +269,8 @@ def _has_symbolic_p(provider: MomentProvider) -> bool:
     return isinstance(provider, Bernoulli) and "p" in provider.p.variables()
 
 
-def _family_values(args, n_max: int, at: Poly, meta_params: dict[str, str]) -> list[Poly]:
-    """The values n = 0..n_max of a series-built family, from a fresh Workspace."""
+def _family_series(args, at: Poly, meta_params: dict[str, str]) -> Series:
+    """The generating series of a series-built family, from a fresh Workspace."""
     if args.family == _SHEFFER_Y:
         if args.provider is None:
             raise BadParams("family sheffer-y needs --provider")
@@ -278,10 +278,10 @@ def _family_values(args, n_max: int, at: Poly, meta_params: dict[str, str]) -> l
         if args.p is not None and not _has_symbolic_p(provider):
             raise BadParams(f"sheffer-y with provider {args.provider} takes no --p")
         meta_params["provider"] = args.provider
-        return families.Workspace(n_max).sheffer(provider, at)
+        return families.Workspace().sheffer(provider, at)
     a, b = [_order_param(getattr(args, e), e, meta_params) if isinstance(e, str) else e
             for e in _HYBRID_ORDERS[args.family]]
-    return families.Workspace(n_max).hybrid(a, b, at)
+    return families.Workspace().hybrid(a, b, at)
 
 
 def _family_rows(args, n_max: int) -> tuple[list[dict], dict]:
@@ -313,7 +313,7 @@ def _family_rows(args, n_max: int) -> tuple[list[dict], dict]:
                 if with_latex:
                     rows[-1]["latex"] = poly_latex(Poly.const(value))
     else:
-        for n, value in enumerate(_family_values(args, n_max, at, meta_params)):
+        for n, value in enumerate(_family_series(args, at, meta_params).egf_coefficients(n_max)):
             value = value.substitute(pins) if pins else value
             rows.append({"n": n, "value": str(value)})
             if with_latex:
@@ -420,7 +420,11 @@ def cmd_mc(args) -> int:
     if provider.columns > MC_MAX_STREAMS:
         raise BadParams(f"mc samples at most {MC_MAX_STREAMS} uniform streams; "
                         f"{provider.label()} needs {provider.columns}")
-    target = families.Workspace(n).sheffer(outer, X + Poly.var("y"))[n]
+    # the draws of a point mass are all one float (see below), though their float mean can be off
+    # by rounding, so that std_error is not 0
+    if n and provider.is_point_mass():
+        raise BadParams(f"mc draws carry no information: {provider.label()} takes one value only")
+    target = families.Workspace().sheffer(outer, X + Y).egf_coefficient(n)
     exact = (families.falling_factorial(X, n) if args.identity == "thm3.1"
              else families.higher_euler(n, m - l, X)).evaluate(point)
     try:

@@ -5,8 +5,9 @@ series defines: the degenerate Sheffer-type polynomials T^{(a,b)}_{n,λ}(x),
 whose series is the Bernoulli base to the a, times the Euler base to the b,
 times the degenerate exponential.  The other families are its special
 cases: B^{(a)} = T^{(a,0)}, E^{(b)} = T^{(0,b)}, B = T^{(1,0)}, E = T^{(0,1)},
-and the falling factorials are T^{(0,0)}.  Each family's values are the
-exponential coefficients of its series.  The library calls
+and the falling factorials are T^{(0,0)}.  A Workspace hands out the
+series themselves, and each family's values are their exponential
+coefficients, read as far as a caller needs.  The library calls
 (``bernoulli_deg``, ``sheffer_type``, ...) and the CLI's ``table`` each read a
 fresh Workspace, and the identity checker shares one over a run, so the
 values printed are the values proved.
@@ -21,11 +22,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import factorial
 from operator import mul
 from typing import TYPE_CHECKING
 
 from .poly import Poly, PolyLike, ZERO, ONE, LAM, Y, as_poly
-from .series import OrderExceeded, Series
+from .series import Series
 
 if TYPE_CHECKING:  # randvar imports this module
     from .randvar import MomentProvider
@@ -72,18 +74,15 @@ def euler_base() -> Series:
 
 
 class Workspace:
-    """Cache of what the family recipes share; its value lists run through index ``order``.
+    """Cache of what the family recipes share, for its own life.
 
     It owns the series, the B^e1 · E^e2 factors, one moment series per
-    provider, and the Stirling table that turns the moments read off it into
-    ordinary moments E[Y^j].  The series are lazy, so a recipe that reads
-    past ``order`` extends them.
+    provider, and the Stirling rows that turn the moments read off it into
+    ordinary moments E[Y^j].  The series are lazy, so each reader extends
+    them as far as it reads.
     """
 
-    def __init__(self, order: int):
-        if order < 0:
-            raise ValueError("workspace order must be non-negative")
-        self.order = order
+    def __init__(self):
         self._cache: dict = {}
 
     def _get(self, key, make):
@@ -100,8 +99,8 @@ class Workspace:
         """A base series raised to a (possibly symbolic) order, formed once."""
         return self._get(("pow", base, e), lambda: base.pow(e))
 
-    def hybrid(self, e1, e2, at: Poly) -> list[Poly]:
-        """T^{(e1,e2)} at ``at``, from (B^e1 · E^e2) · e_λ^at; a base of order 0 is left out.
+    def hybrid(self, e1, e2, at: Poly) -> Series:
+        """T^{(e1,e2)} at ``at``: the series (B^e1 · E^e2) · e_λ^at, a base of order 0 left out.
 
         This is the one family recipe: the five below are calls to it.  The
         factor B^e1 · E^e2 is formed once per order pair.
@@ -120,23 +119,23 @@ class Workspace:
             series = self.exp_of(at)
             if e1 or e2:
                 series = self._get(("factor", e1, e2), factor) * series
-            return series.egf_coefficients(self.order)
+            return series
 
         return self._get(("hybrid", e1, e2, at), make)
 
-    def falling(self, base: Poly) -> list[Poly]:
+    def falling(self, base: Poly) -> Series:
         return self.hybrid(ZERO, ZERO, base)
 
-    def higher_bernoulli(self, e, at: Poly) -> list[Poly]:
+    def higher_bernoulli(self, e, at: Poly) -> Series:
         return self.hybrid(e, ZERO, at)
 
-    def higher_euler(self, e, at: Poly) -> list[Poly]:
+    def higher_euler(self, e, at: Poly) -> Series:
         return self.hybrid(ZERO, e, at)
 
-    def bernoulli(self, at: Poly) -> list[Poly]:
+    def bernoulli(self, at: Poly) -> Series:
         return self.hybrid(ONE, ZERO, at)
 
-    def euler(self, at: Poly) -> list[Poly]:
+    def euler(self, at: Poly) -> Series:
         return self.hybrid(ZERO, ONE, at)
 
     def mgf(self, provider: MomentProvider) -> Series:
@@ -150,33 +149,33 @@ class Workspace:
 
         return self._get(("mgf", provider), make)
 
-    def stirling_rows(self) -> list[list[Poly]]:
-        """Row j is y^j in the λ-falling basis: degenerate Stirling numbers of the second kind."""
-        return self._get(("stirling2",), lambda: [
-            falling_basis_coefficients(Y ** j) for j in range(self.order + 1)
-        ])
+    def stirling_rows(self, degree: int) -> list[list[Poly]]:
+        """Rows 0..degree at least; row j is y^j in the λ-falling basis.
+
+        Its entries are the degenerate Stirling numbers of the second kind.
+        """
+        rows = self._get(("stirling2",), list)
+        rows += (falling_basis_coefficients(Y ** j) for j in range(len(rows), degree + 1))
+        return rows
 
     def expect(self, p: Poly, provider: MomentProvider) -> Poly:
-        """E[p(Y)] for a y-degree at most ``order``: the dot of [y^j]p with E[Y^j]."""
+        """E[p(Y)]: the dot of [y^j]p with E[Y^j], extended through p's y-degree."""
         degree = p.degree("y")
-        if degree > self.order:
-            raise ValueError(f"y-degree {degree} is past the workspace order {self.order}; "
-                             "expect_polynomial takes any degree")
-
-        def ordinary():
-            degenerate = self.mgf(provider).egf_coefficients(self.order)
-            return [Poly.dot((1, c, degenerate[k]) for k, c in enumerate(row) if c)
-                    for row in self.stirling_rows()]
-
-        moments = self._get(("ordinary-moments", provider), ordinary)
+        moments = self._get(("ordinary-moments", provider), list)
+        if len(moments) <= degree:
+            series, rows = self.mgf(provider), self.stirling_rows(degree)
+            # E[Y^j] = Σ_k row_j[k] · k! · [t^k] of the moment series
+            moments += (Poly.dot((factorial(k), c, series.coefficient(k))
+                                 for k, c in enumerate(rows[j]) if c)
+                        for j in range(len(moments), degree + 1))
         return Poly.dot((1, p.coefficient_of("y", j), moments[j]) for j in range(degree + 1))
 
-    def sheffer(self, provider: MomentProvider, at: Poly) -> list[Poly]:
-        """The provider's Sheffer family at ``at``: e_λ^at(t) over the moment series."""
+    def sheffer(self, provider: MomentProvider, at: Poly) -> Series:
+        """The provider's Sheffer series at ``at``: e_λ^at(t) over the moment series."""
 
         def make():
             inverse = self._get(("inverse-mgf", provider), lambda: self.mgf(provider).reciprocal())
-            return (inverse * self.exp_of(at)).egf_coefficients(self.order)
+            return inverse * self.exp_of(at)
 
         return self._get(("sheffer", provider, at), make)
 
@@ -186,11 +185,11 @@ class Workspace:
 
 def bernoulli_polynomials(n_max: int, at: PolyLike = ZERO) -> list[Poly]:
     """Degenerate Bernoulli values for n = 0..n_max (none when n_max < 0)."""
-    return Workspace(n_max).bernoulli(at) if n_max >= 0 else []
+    return Workspace().bernoulli(at).egf_coefficients(n_max)
 
 
 def euler_polynomials(n_max: int, at: PolyLike = ZERO) -> list[Poly]:
-    return Workspace(n_max).euler(at) if n_max >= 0 else []
+    return Workspace().euler(at).egf_coefficients(n_max)
 
 
 def bernoulli_deg(n: int, at: PolyLike = ZERO) -> Poly:
@@ -211,9 +210,7 @@ def higher_euler(n: int, order_param: PolyLike, at: PolyLike = ZERO) -> Poly:
 
 def sheffer_type(n: int, a_param: PolyLike, b_param: PolyLike, at: PolyLike = ZERO) -> Poly:
     """T^{(a,b)}_{n,λ}(at); a negative n is no coefficient of the series."""
-    if n < 0:
-        raise OrderExceeded(f"a series has no coefficient {n}")
-    return Workspace(n).hybrid(a_param, b_param, at)[n]
+    return Workspace().hybrid(a_param, b_param, at).egf_coefficient(n)
 
 
 # the last row of the triangle built: (m, [S1(m, 0), ..., S1(m, m)]) as ints; the pair is

@@ -77,6 +77,10 @@ class MomentProvider:
                      out: np.ndarray | None = None) -> np.ndarray:
         raise UnsamplableProvider(f"{self.label()} cannot be sampled")
 
+    def is_point_mass(self) -> bool:
+        """Whether the variable is known to take one value only: its draws are then one float."""
+        return False
+
     def label(self) -> str:
         return type(self).__name__.lower()
 
@@ -115,6 +119,9 @@ class Bernoulli(MomentProvider):
             return ONE
         return self.p * falling_factorial(ONE, n)
 
+    def is_point_mass(self) -> bool:
+        return self.p in (ZERO, ONE)
+
     def in_range(self) -> bool:
         """Whether p can be a probability: symbolic, or a constant in [0, 1]."""
         return not self.p.is_constant() or 0 <= self.p.constant_value() <= 1
@@ -152,6 +159,9 @@ class IidSum(MomentProvider):
         # so a read recurses a fixed depth however large m is
         return self.base.mgf().pow_int(self.m)
 
+    def is_point_mass(self) -> bool:
+        return self.base.is_point_mass()
+
     @property
     def columns(self) -> int:
         return self.m * self.base.columns
@@ -184,6 +194,9 @@ class Zero(MomentProvider):
 
     def moment(self, n: int) -> Poly:
         return ONE if n == 0 else ZERO
+
+    def is_point_mass(self) -> bool:
+        return True
 
     def label(self) -> str:
         return "zero"

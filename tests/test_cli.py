@@ -17,8 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import degenpoly
 from degenpoly import (
-    DEGREE_LIMIT, Poly, bernoulli_polynomials, euler_polynomials, families, registered_ids,
-    sheffer_type, X,
+    DEGREE_LIMIT, Poly, Series, bernoulli_polynomials, euler_polynomials, families,
+    registered_ids, sheffer_type, X,
 )
 from degenpoly.cli import (
     FORMATS, MAX_IID_NESTING, MAX_LITERAL_DIGITS, MC_MAX_STREAMS, main, parse_provider, poly_latex,
@@ -255,25 +255,21 @@ def test_mc_constant_case(capsys):
 
 @pytest.mark.parametrize("spec", ["ber:1", "ber:0"])
 def test_mc_point_mass_never_passes(capsys, spec):
-    """Draws of a point mass are all one float, so they say nothing about the target's y.
+    """Draws of a point mass are all one float, so from n = 1 on they say nothing about y.
 
-    Where their float mean is that float, std_error is 0 and the run exits 2; where the mean
-    is off by rounding, the spread is that rounding and z fails the run.
+    The run exits 2 whether the float mean of the draws is that float or off by rounding (at
+    x = 2/3 and 1/3 it is, and the spread was once that rounding); at n = 0 the target is 1.
     """
-    codes = {}
-    for n in ("1", "2", "3", "5"):
+    for n in ("0", "1", "2", "3", "5"):
         for x in ("1/4", "2/3", "1/3"):
             code, out, err = run(capsys, "mc", "thm3.1", "--provider", spec, "--n", n,
                                  "--lambda", "1/8", "--x", x, "--samples", "200", "--format", "json")
-            codes[n, x] = code
-            if code == 2:
-                assert out == "" and "carry no information" in err
-                assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+            if n == "0":
+                assert (code, json.loads(out)["pass"]) == (0, True), x
             else:
-                doc = json.loads(out)
-                assert (code, doc["pass"]) == (1, False) and doc["std_error"] > 0, (n, x)
-    # at x = 1/4 and λ = 1/8 every value is dyadic, so the mean is exact and the spread 0
-    assert [code for (n, x), code in codes.items() if x == "1/4"] == [2, 2, 2, 2]
+                assert (code, out) == (2, ""), (n, x)
+                assert "carry no information" in err
+                assert sum(line.startswith("error:") for line in err.splitlines()) == 1
 
 
 def test_mc_thm37(capsys):
@@ -781,6 +777,13 @@ def _mc_figures(out: str, fmt: str) -> tuple[float, float]:
           True))
 @example((["mc", "thm3.1", "--n", "2", "--lambda", "1/8", "--x", _FOUND_X[2], "--samples", "1000"],
           False))
+# point masses, whose draws' float mean can be off by rounding, so that their spread is not 0
+@example((["mc", "thm3.1", "--provider", "ber:1", "--n", "1", "--lambda", "1/8", "--x", "2/3",
+           "--samples", "200"], True))
+@example((["mc", "thm3.1", "--provider", "ber:0", "--n", "1", "--lambda", "1/8", "--x", "2/3",
+           "--samples", "200"], True))
+@example((["mc", "thm3.1", "--provider", "iid:ber:1:3", "--n", "2", "--lambda", "1/8", "--x", "2/3",
+           "--samples", "200"], True))
 # a count outside the grammar, and an i.i.d. sum of very many copies
 @example((["mc", "thm3.1", "--lambda", "1/8", "--x", "1/4", "--samples", "1_000"], True))
 @example((["table", "stirling1", "--n", "1_0"], True))
@@ -968,6 +971,27 @@ def test_mc_refuses_too_many_streams_before_it_builds_the_target(argv, monkeypat
     assert err.startswith(f"error: mc samples at most {MC_MAX_STREAMS} uniform streams; ")
 
 
+def test_mc_reads_one_coefficient_of_the_target_series(monkeypatch, capsys):
+    # the target is coefficient n of the Workspace's Sheffer series, and no lower value is made
+    targets, reads = [], []
+    sheffer, egf_coefficient = families.Workspace.sheffer, Series.egf_coefficient
+
+    def sheffer_spy(self, provider, at):
+        targets.append(sheffer(self, provider, at))
+        return targets[-1]
+
+    def read_spy(self, n):
+        reads.append((self, n))
+        return egf_coefficient(self, n)
+
+    monkeypatch.setattr(families.Workspace, "sheffer", sheffer_spy)
+    monkeypatch.setattr(Series, "egf_coefficient", read_spy)
+    code, _, _ = run(capsys, "mc", "thm3.1", "--n", "6", "--lambda", "1/8", "--x", "1/4",
+                     "--samples", "1000")
+    assert code == 0 and len(targets) == 1
+    assert [n for series, n in reads if series is targets[0]] == [6]
+
+
 def test_every_hybrid_table_reads_the_workspace():
     # the values `table` prints come from the recipe that `verify` proves, and the registry
     # itself is still not loaded; a fresh interpreter, since this process has loaded it
@@ -978,7 +1002,7 @@ from degenpoly import families
 seen = []
 hybrid = families.Workspace.hybrid
 def spy(self, e1, e2, at):
-    seen.append((self.order, str(e1), str(e2), str(at)))
+    seen.append((str(e1), str(e2), str(at)))
     return hybrid(self, e1, e2, at)
 families.Workspace.hybrid = spy
 for family in degenpoly.cli._FAMILY_NAMES:
@@ -997,12 +1021,12 @@ print(degenpoly.__file__)
     # the child imports the package under test, not whichever checkout holds this file
     assert Path(child_package).resolve() == Path(degenpoly.__file__).resolve()
     assert lines == [
-        "falling-lambda 0 [(3, '0', '0', 'x')]",
-        "deg-bernoulli 0 [(3, '1', '0', '0')]",
-        "deg-euler 0 [(3, '0', '1', '0')]",
-        "higher-bernoulli 0 [(3, 'a', '0', '0')]",
-        "higher-euler 0 [(3, '0', 'b', '0')]",
-        "sheffer-t 0 [(3, 'a', 'b', '0')]",
+        "falling-lambda 0 [('0', '0', 'x')]",
+        "deg-bernoulli 0 [('1', '0', '0')]",
+        "deg-euler 0 [('0', '1', '0')]",
+        "higher-bernoulli 0 [('a', '0', '0')]",
+        "higher-euler 0 [('0', 'b', '0')]",
+        "sheffer-t 0 [('a', 'b', '0')]",
         "stirling1 0 []",
         "sheffer-y 0 []",
         "False",

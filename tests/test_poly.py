@@ -399,7 +399,7 @@ def test_text_matches_the_tuple_walk(terms):
 
 
 def test_rendering_builds_no_fraction_and_no_exponent_tuple(monkeypatch):
-    values = Workspace(9).hybrid(A, B, X)
+    values = Workspace().hybrid(A, B, X).egf_coefficients(9)
     calls = []
 
     def spy(real):

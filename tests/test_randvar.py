@@ -83,10 +83,19 @@ def test_iid_sum_mgf_two_paths():
         assert fold == u.mgf().pow_int(m).egf_coefficients(8)
 
 
+def test_point_masses_are_the_certain_coins_their_sums_and_zero():
+    certain = (Bernoulli(1), Bernoulli(0), IidSum(Bernoulli(1), 3), IidSum(IidSum(Bernoulli(0), 2), 2),
+               Zero())
+    uncertain = (Uniform01(), Bernoulli(Fraction(1, 2)), Bernoulli(P), IidSum(Uniform01(), 2),
+                 IidSum(Bernoulli(Fraction(1, 3)), 4), CustomMoments([1, 2]))
+    assert [provider.is_point_mass() for provider in certain] == [True] * len(certain)
+    assert [provider.is_point_mass() for provider in uncertain] == [False] * len(uncertain)
+
+
 def test_iid_sheffer_family_at_a_4300_digit_copy_count():
     # m certain ones sum to m, and e_λ^x / e_λ^m = e_λ^{x−m}: a read recurses a fixed depth
     m = 10**4299
-    values = Workspace(3).sheffer(IidSum(Bernoulli(1), m), X)
+    values = Workspace().sheffer(IidSum(Bernoulli(1), m), X).egf_coefficients(3)
     assert values == [falling_factorial(X - m, n) for n in range(4)]
 
 
