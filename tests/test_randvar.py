@@ -1,6 +1,8 @@
 import itertools
+import math
 import sys
 import threading
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -257,7 +259,8 @@ _LAYOUT_PROVIDERS = [
 ]
 
 
-@pytest.mark.parametrize("samples", [CHUNK - 1, CHUNK, 2 * CHUNK + 7])
+# one short chunk; a last chunk one short; whole chunks; whole chunks and a remainder
+@pytest.mark.parametrize("samples", [CHUNK - 1, 2 * CHUNK - 1, 2 * CHUNK, 4 * CHUNK + 7])
 @pytest.mark.parametrize("provider", _LAYOUT_PROVIDERS, ids=lambda p: p.label())
 def test_chunked_draws_equal_the_copy_major_layout(provider, samples):
     np = pytest.importorskip("numpy")
@@ -332,12 +335,22 @@ def test_mc_merge_starts_from_the_first_chunk():
         assert (result.estimate, result.std_error) == (1e200, 0.0)
 
 
+# c·U spreads c²/12 per draw, so one chunk's centred sum of squares is about
+# c²·CHUNK/12 = 7/8 of the float maximum: finite alone, past it once two are merged
+_MERGE_OVERFLOW_SCALE = math.isqrt(21 * int(sys.float_info.max) // (2 * CHUNK))
+
+
 @pytest.mark.parametrize("target, samples", [
     (Poly.const(10 ** 154) * Y * Y, 1000),  # a sum in one chunk passes the float range
-    (Poly.const(Fraction(17, 10) * 10 ** 152) * Y, 2 * CHUNK),  # the merged spread does
+    (Poly.const(_MERGE_OVERFLOW_SCALE) * Y, 2 * CHUNK),  # the merged spread does
 ], ids=["chunk", "merge"])
 def test_mc_past_the_float_range_raises_overflow_error(target, samples):
     pytest.importorskip("numpy")
+    if samples > CHUNK:  # the merge case: each chunk's own figures stay finite
+        coeffs = [float(_MERGE_OVERFLOW_SCALE), 0.0]
+        chunks = randvar._part_moments(Uniform01(), samples, 0, 0, 2, coeffs)
+        assert len(chunks) == 2
+        assert all(math.isfinite(mean) and math.isfinite(m2) for _, mean, m2 in chunks)
     with pytest.raises(OverflowError):  # numpy warns of nothing: the warnings filter is "error"
         mc_estimate(target, Uniform01(), {}, samples, seed=0)
 
@@ -404,7 +417,7 @@ _MC_TARGETS = {
 
 
 @pytest.mark.parametrize("target", _MC_TARGETS, ids=str)
-@pytest.mark.parametrize("samples", [CHUNK - 1, 3 * CHUNK + 5])
+@pytest.mark.parametrize("samples", [CHUNK - 1, 2 * CHUNK - 1, 6 * CHUNK + 5])
 @pytest.mark.parametrize("provider", _LAYOUT_PROVIDERS, ids=lambda p: p.label())
 def test_mc_equals_the_serial_oracle_bit_for_bit(provider, samples, target):
     target = _MC_TARGETS[target]
@@ -426,6 +439,55 @@ def test_mc_estimate_does_not_depend_on_the_cpu_count(provider, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert results[0] == results[1] == results[2]
+
+
+@dataclass(frozen=True)
+class _MeetingProvider(MomentProvider):
+    """Draws from ``base``; each part waits at its first chunk until every part holds its buffer."""
+
+    base: MomentProvider
+    parts: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "columns", self.base.columns)
+        object.__setattr__(self, "buffers", self.base.buffers)
+        object.__setattr__(self, "barrier", threading.Barrier(self.parts, timeout=60))
+        object.__setattr__(self, "met", threading.local())
+
+    def sample_array(self, streams, size, out=None):
+        if size and not getattr(self.met, "done", False):
+            self.met.done = True
+            self.barrier.wait()
+        return self.base.sample_array(streams, size, out)
+
+
+def _traced_peak(target, provider, samples) -> int:
+    """Bytes ``mc_estimate`` holds at its peak, past what was held when it started."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        mc_estimate(target, provider, _MC_POINT, samples, seed=29)
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("provider", [Uniform01(), Bernoulli(half), IidSum(Uniform01(), 3)],
+                         ids=lambda p: p.label())
+def test_mc_memory_is_a_few_chunks_per_part(provider, monkeypatch):
+    # tracemalloc sees numpy's data buffers: each part holds max(buffers, 2) chunks of
+    # floats however many samples it draws, and here every part holds them at once
+    pytest.importorskip("numpy")
+    target = _MC_TARGETS["degree4"]
+    mc_estimate(target, provider, _MC_POINT, 10, seed=29)  # fills the exact layer's caches
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(randvar, "_cpu_count", lambda cpus=cpus: cpus)
+        buffers = cpus * max(provider.buffers, 2) * CHUNK * 8
+        few, many = (_traced_peak(target, _MeetingProvider(provider, cpus), samples)
+                     for samples in (8 * CHUNK + 5, 64 * CHUNK + 5))
+        assert buffers <= few <= buffers + (64 << 10), (cpus, few, buffers)
+        assert buffers <= many <= buffers + (64 << 10), (cpus, many, buffers)
+        assert abs(many - few) <= 16 << 10, (cpus, few, many)
 
 
 class _ChunkFailure(Exception):
