@@ -17,10 +17,11 @@ includes an ``mc`` result past the float range and an ``--n`` from DEGREE_LIMIT 
 (``check_common``: one bound for every command but ``table stirling1``).
 
 ``run`` is the process entry (the ``degenpoly`` script and ``python -m
-degenpoly.cli``): it calls ``main`` and then freezes the objects the process
-holds, so the interpreter's final collection at exit does not walk them;
+degenpoly.cli``): it sets stdout and stderr to UTF-8, so the bytes (λ included)
+are the same in every locale, calls ``main`` and then freezes the objects the
+process holds, so the interpreter's final collection at exit does not walk them;
 output flushing, ``atexit`` handlers and module teardown still run.  ``main``
-freezes nothing, so tests and library callers may call it in process.  Only
+does neither, so tests and library callers may call it in process.  Only
 ``verify`` imports ``identities``, the registry; ``table`` and ``mc`` never
 load it.  ``table`` and the ``mc`` target read each family from a fresh
 ``families.Workspace``, the recipe whose values ``verify`` proves.
@@ -424,9 +425,11 @@ def cmd_mc(args) -> int:
     # by rounding, so that std_error is not 0
     if n and provider.is_point_mass():
         raise BadParams(f"mc draws carry no information: {provider.label()} takes one value only")
-    target = families.Workspace().sheffer(outer, X + Y).egf_coefficient(n)
-    exact = (families.falling_factorial(X, n) if args.identity == "thm3.1"
-             else families.higher_euler(n, m - l, X)).evaluate(point)
+    ws = families.Workspace()
+    target = ws.sheffer(outer, X + Y).egf_coefficient(n)
+    # the registry's right side: thm3.1 averages back to (x)_{n,λ}, thm3.7 to E^{(m−l)}_{n,λ}(x)
+    exact = (ws.falling(X) if args.identity == "thm3.1"
+             else ws.higher_euler(m - l, X)).egf_coefficient(n).evaluate(point)
     try:
         result = mc_estimate(target, provider, point, samples, seed)
         exact_float = float(exact)
@@ -529,7 +532,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> int:
-    """Process entry: ``main``, then no collection walk over what is left at exit."""
+    """Process entry: ``main`` writing UTF-8 in every locale, then no collection walk at exit."""
+    for stream in (sys.stdout, sys.stderr):
+        stream.reconfigure(encoding="utf-8")
     try:
         return main()
     finally:

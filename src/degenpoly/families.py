@@ -10,7 +10,8 @@ series themselves, and each family's values are their exponential
 coefficients, read as far as a caller needs.  The library calls
 (``bernoulli_deg``, ``sheffer_type``, ...) and the CLI's ``table`` each read a
 fresh Workspace, and the identity checker shares one over a run, so the
-values printed are the values proved.
+values printed are the values proved.  A Workspace also averages over a
+random variable Y, through the ordinary moments E[Y^j] (``expect``).
 
 Only the two base series (``bernoulli_base``, ``euler_base``) and
 ``stirling_first`` are cached for the life of the process, behind
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import factorial
 from operator import mul
 from typing import TYPE_CHECKING
 
@@ -77,9 +77,8 @@ class Workspace:
     """Cache of what the family recipes share, for its own life.
 
     It owns the series, the B^e1 · E^e2 factors, one moment series per
-    provider, and the Stirling rows that turn the moments read off it into
-    ordinary moments E[Y^j].  The series are lazy, so each reader extends
-    them as far as it reads.
+    provider, and the ordinary moments E[Y^j] read off it.  The series are
+    lazy, so each reader extends them as far as it reads.
     """
 
     def __init__(self):
@@ -149,25 +148,22 @@ class Workspace:
 
         return self._get(("mgf", provider), make)
 
-    def stirling_rows(self, degree: int) -> list[list[Poly]]:
-        """Rows 0..degree at least; row j is y^j in the λ-falling basis.
-
-        Its entries are the degenerate Stirling numbers of the second kind.
-        """
-        rows = self._get(("stirling2",), list)
-        rows += (falling_basis_coefficients(Y ** j) for j in range(len(rows), degree + 1))
-        return rows
-
     def expect(self, p: Poly, provider: MomentProvider) -> Poly:
-        """E[p(Y)]: the dot of [y^j]p with E[Y^j], extended through p's y-degree."""
+        """E[p(Y)]: the dot of [y^j]p with E[Y^j], extended through p's y-degree.
+
+        E[Y^d] ends the anti-diagonal E[Y^j (Y)_{d−j,λ}], j = 0..d, which starts at
+        moment d of the moment series; a step uses y·(y)_{k,λ} = (y)_{k+1,λ} + kλ·(y)_{k,λ}
+        and the anti-diagonal before it, the one kept.
+        """
         degree = p.degree("y")
-        moments = self._get(("ordinary-moments", provider), list)
-        if len(moments) <= degree:
-            series, rows = self.mgf(provider), self.stirling_rows(degree)
-            # E[Y^j] = Σ_k row_j[k] · k! · [t^k] of the moment series
-            moments += (Poly.dot((factorial(k), c, series.coefficient(k))
-                                 for k, c in enumerate(rows[j]) if c)
-                        for j in range(len(moments), degree + 1))
+        moments, diagonal = self._get(("ordinary-moments", provider), lambda: ([], []))
+        series = self.mgf(provider)
+        for d in range(len(moments), degree + 1):
+            row = [series.egf_coefficient(d)]
+            for j, below in enumerate(diagonal):  # below = E[Y^j (Y)_{d−1−j,λ}]
+                row.append(row[j] + below * (LAM * (d - 1 - j)))
+            moments.append(row[-1])
+            diagonal[:] = row
         return Poly.dot((1, p.coefficient_of("y", j), moments[j]) for j in range(degree + 1))
 
     def sheffer(self, provider: MomentProvider, at: Poly) -> Series:

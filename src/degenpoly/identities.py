@@ -167,8 +167,8 @@ _BER_P = Bernoulli(P)
 
 def _stirling_weights(m: int) -> Series:
     """The weights of thm3.5 and thm3.6: exponential coefficient j is λ^j S1(j+m, m)/C(j+m, m)."""
-    return Series.from_egf(lambda j: LAM ** j * families.stirling_first(j + m, m)
-                           * Fraction(factorial(j) * factorial(m), factorial(j + m)))
+    return Series.from_egf(lambda j: families.stirling_first(j + m, m)
+                           * Fraction(factorial(j) * factorial(m), factorial(j + m))).scale_t(LAM)
 
 
 def _times_t(f: Series) -> Series:
@@ -280,7 +280,7 @@ def _thm32(ws: Workspace) -> list[Instance]:
 
 @_case("thm3.3", "closed form of the uniform-variable family through Bernoulli polynomials")
 def _thm33(ws: Workspace) -> list[Instance]:
-    weights = Series.from_egf(lambda j: (-LAM) ** j * Fraction(factorial(j), j + 1))
+    weights = Series.from_egf(lambda j: Fraction(factorial(j), j + 1)).scale_t(-LAM)
     return [(None, ws.sheffer(_UNIFORM, X), ws.bernoulli(X) * weights)]
 
 
@@ -346,6 +346,5 @@ def _thm311_e(ws: Workspace) -> list[Instance]:
 
 @_case("eq50-volkenborn", "uniform-variable family equals the log-over-difference generating series")
 def _eq50(ws: Workspace) -> list[Instance]:
-    log_one_plus_t = Series([ONE, ONE]).log()
-    closed = log_one_plus_t.div_t().scale_t(LAM) * families.bernoulli_base() * ws.exp_of(X)
-    return [(None, ws.sheffer(_UNIFORM, X), closed)]
+    log_over_t = Series([ONE, ONE]).log().div_t().scale_t(LAM)
+    return [(None, ws.sheffer(_UNIFORM, X), log_over_t * ws.bernoulli(X))]

@@ -325,7 +325,23 @@ class Poly:
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "Poly":
-        return int_power(self, exponent, ONE)
+        """Square-and-multiply (TAOCP §4.6.3), from the lowest set bit up: no product with ONE."""
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError(f"powers need a non-negative integer exponent, got {exponent!r}")
+        if not exponent:
+            return ONE
+        base = self
+        while not exponent & 1:
+            base = base * base
+            exponent >>= 1
+        result = base
+        exponent >>= 1
+        while exponent:
+            base = base * base
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+        return result
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
@@ -481,29 +497,6 @@ class Poly:
             if value not in ("+", "-"):
                 raise ValueError(f"expected '+' or '-' in polynomial text {text!r}")
             sign = -1 if value == "-" else 1
-
-
-def int_power(base, exponent: int, one):
-    """``base`` to the power ``exponent`` by square-and-multiply (TAOCP §4.6.3); ``one`` is 1.
-
-    The result starts at the power of ``base`` for the lowest set bit, so no
-    product with ``one`` is made.
-    """
-    if not isinstance(exponent, int) or exponent < 0:
-        raise ValueError(f"powers need a non-negative integer exponent, got {exponent!r}")
-    if not exponent:
-        return one
-    while not exponent & 1:
-        base = base * base
-        exponent >>= 1
-    result = base
-    exponent >>= 1
-    while exponent:
-        base = base * base
-        if exponent & 1:
-            result = result * base
-        exponent >>= 1
-    return result
 
 
 def as_poly(value: PolyLike) -> Poly:

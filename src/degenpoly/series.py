@@ -11,8 +11,9 @@ with zeros.
 Reads mutate a series, and the family bases are shared by every caller in
 the process, so one re-entrant module lock is held while a list is
 extended.  The constant-term checks are made when an operation is called.
-Every integer power, the reciprocal included, is one rule: ``pow_int``,
-Miller's recurrence.  A symbolic power is exp(e·log), ``pow``.
+Every integer power, the reciprocal and an integer order passed to ``pow``
+included, is one rule: ``pow_int``, Miller's recurrence.  Only a symbolic or
+non-integer order is exp(e·log), ``pow``.
 
 Coefficients are stored in ordinary form: ``coefficient(n)`` is the literal
 coefficient of t^n.  The exponential-generating-function convention (divide
@@ -153,15 +154,17 @@ class Series:
         return Series([ONE], rule)
 
     def pow(self, exponent: PolyLike) -> "Series":
-        """Symbolic power exp(exponent * log(self)); the base needs constant term 1.
+        """Power of a series with constant term exactly 1, to a (possibly symbolic) order.
 
         The exponent may be a polynomial (e.g. a bare order variable), so a
-        single verified identity covers every real value of the order.  The
-        exponent 1 gives the base itself, once its constant term is checked.
+        single verified identity covers every real value of the order; such
+        an order is exp(exponent * log(self)).  An integer order is ``pow_int``.
         """
         exponent = as_poly(exponent)
-        if exponent == ONE and self.coefficient(0) == ONE:
-            return self
+        if self.coefficient(0) != ONE:
+            raise NonUnitConstantTerm(f"pow needs constant term 1, got {self.coefficient(0)}")
+        if exponent.is_constant() and exponent.constant_value().denominator == 1:
+            return self.pow_int(int(exponent.constant_value()))
         return (self.log() * exponent).exp()
 
     def pow_int(self, exponent: int) -> "Series":

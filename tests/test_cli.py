@@ -893,6 +893,18 @@ def test_process_entry_keeps_bytes_and_exit_code(argv, code, capsys):
                                "run 'degenpoly verify --help' for usage\n")
 
 
+def test_process_entry_writes_utf8_in_any_locale():
+    # the process entry writes UTF-8 bytes, also to a console whose encoding has no λ
+    argv = [sys.executable, "-m", "degenpoly.cli", "table", "deg-bernoulli", "--n", "2"]
+    runs = {}
+    for encoding in ("utf-8", "ascii"):
+        env = {**os.environ, "PYTHONPATH": str(_SRC), "PYTHONIOENCODING": encoding}
+        done = subprocess.run(argv, env=env, capture_output=True)
+        runs[encoding] = (done.returncode, done.stdout, done.stderr)
+    assert runs["ascii"] == runs["utf-8"]
+    assert runs["utf-8"][0] == 0 and "λ".encode() in runs["utf-8"][1]
+
+
 def test_the_script_and_module_entry_is_run_and_it_freezes():
     # Python 3.10 has no tomllib, so the script line is matched as text
     pyproject = (_SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
@@ -1036,6 +1048,8 @@ print(degenpoly.__file__)
 @pytest.mark.parametrize("argv, calls, pairs", [
     (("table", "sheffer-t", "--n", "8", "--x", "x"), 101, 7472),
     (("table", "sheffer-y", "--provider", "iid:uniform01:2", "--n", "8", "--x", "x"), 39, 877),
+    # an integer order takes Miller's recurrence, not exp·log
+    (("table", "higher-euler", "--b", "2", "--n", "8", "--x", "x"), 38, 703),
 ])
 def test_table_kernel_work_budget(argv, calls, pairs, monkeypatch, capsys):
     # a table builds one family; a recipe that makes more products, or larger ones, for the

@@ -13,7 +13,7 @@ from degenpoly import (
 from degenpoly import poly as poly_module
 from degenpoly.cli import poly_latex
 from degenpoly.families import Workspace
-from degenpoly.poly import as_poly, int_power
+from degenpoly.poly import as_poly
 
 from oracles import rendered, terms_add, terms_mul, terms_neg
 
@@ -89,29 +89,34 @@ def test_degree_and_coefficient_of():
 def test_power():
     assert (X + 1) ** 2 == X ** 2 + X * 2 + 1
     assert X ** 0 == ONE
-    with pytest.raises(ValueError):
-        X ** -1
+    for exponent in (-1, 1.5, Fraction(2)):
+        with pytest.raises(ValueError):
+            X ** exponent
 
 
-def test_int_power_makes_no_product_with_one():
-    products = []
+def test_int_power_makes_no_product_with_one(monkeypatch):
+    products, dots = [], []
+    mul, dot = Poly.__mul__, Poly.dot.__func__
 
-    class Factor:
-        def __init__(self, value):
-            self.value = value
+    def spy_mul(self, other):
+        products.append((self, other))
+        return mul(self, other)
 
-        def __mul__(self, other):
-            products.append((self.value, other.value))
-            return Factor(self.value * other.value)
+    def spy_dot(cls, triples):
+        dots.append(triples := list(triples))
+        return dot(cls, triples)
 
-    one = Factor(1)
-    assert int_power(Factor(3), 0, one) is one
+    monkeypatch.setattr(Poly, "__mul__", spy_mul)
+    monkeypatch.setattr(Poly, "dot", classmethod(spy_dot))
+    assert X ** 0 is ONE
     for exponent in range(1, 40):
         products.clear()
-        assert int_power(Factor(3), exponent, one).value == 3 ** exponent
-        assert all(1 not in pair for pair in products)
+        dots.clear()
+        assert (X ** exponent).terms == {(0, exponent, 0, 0, 0, 0): 1}
+        assert all(ONE not in pair for pair in products)
         # one squaring per bit above the lowest, one product per set bit after the first
-        assert len(products) == exponent.bit_length() - 1 + bin(exponent).count("1") - 1
+        squarings, multiplications = exponent.bit_length() - 1, bin(exponent).count("1") - 1
+        assert len(dots) == len(products) == squarings + multiplications
 
 
 def test_str_golden():

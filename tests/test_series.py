@@ -161,8 +161,26 @@ def test_power_laws_symbolic():
 
 def test_symbolic_power_matches_integer_folds():
     f = euler_base()
-    for k in range(5):
+    for k in range(-2, 5):
+        assert values(f.pow(k), 6) == values((f.log() * k).exp(), 6)
+
+
+def test_an_integer_order_takes_no_logarithm(monkeypatch):
+    logs = []
+    log = Series.log
+
+    def spy(self):
+        logs.append(self)
+        return log(self)
+
+    monkeypatch.setattr(Series, "log", spy)
+    f = bernoulli_base()
+    for k in (2, 3, -1):
         assert values(f.pow(k), 6) == values(f.pow_int(k), 6)
+    assert logs == []
+    for order in (A, Fraction(1, 2)):
+        f.pow(order)
+        assert logs.pop() is f and not logs
 
 
 def test_pow_int_takes_every_integer_and_only_integers():
